@@ -760,6 +760,33 @@ int main(int argc, char** argv) {
       static_cast<double>(pipe_run.phases.lane_busy_ns) * 1e-6,
       static_cast<double>(pipe_run.phases.lane_wait_ns) * 1e-6);
   std::printf("  executors bit-identical on the same trace: yes\n");
+
+  // Serial vs sharded memsim replay under the pipelined executor at every
+  // sweep width, best-of-N each: the evidence for keeping or deleting the
+  // sharded replay now that the serial replay is event-driven.
+  std::vector<EngineRun> serial_replay(thread_sweep.size());
+  std::vector<EngineRun> sharded_replay(thread_sweep.size());
+  for (std::size_t ti = 0; ti < thread_sweep.size(); ++ti) {
+    for (int r = 0; r < scenario.repeats; ++r) {
+      serve::ServeConfig config = engine_config(thread_sweep[ti], true);
+      config.shard_replay = false;
+      const EngineRun serial = run_engine(config, smoke);
+      const EngineRun sharded =
+          run_engine(engine_config(thread_sweep[ti], true), smoke);
+      if (r == 0 || serial.tokens_per_s > serial_replay[ti].tokens_per_s) {
+        serial_replay[ti] = serial;
+      }
+      if (r == 0 || sharded.tokens_per_s > sharded_replay[ti].tokens_per_s) {
+        sharded_replay[ti] = sharded;
+      }
+    }
+    std::printf("  engine --pipeline on, threads=%zu: serial replay %8.1f "
+                "tok/s, sharded replay %8.1f tok/s (%.2fx)\n",
+                thread_sweep[ti], serial_replay[ti].tokens_per_s,
+                sharded_replay[ti].tokens_per_s,
+                sharded_replay[ti].tokens_per_s /
+                    serial_replay[ti].tokens_per_s);
+  }
   if (!trace_path.empty() &&
       !write_engine_trace(smoke, phase_threads, trace_path)) {
     return 1;
@@ -848,6 +875,17 @@ int main(int argc, char** argv) {
       "\"outputs_bit_identical\": true},\n",
       phase_threads, seq_run.tokens_per_s, pipe_run.tokens_per_s,
       pipeline_speedup);
+  std::fprintf(out, "  \"replay_comparison\": [");
+  for (std::size_t ti = 0; ti < thread_sweep.size(); ++ti) {
+    std::fprintf(out,
+                 "%s{\"threads\": %zu, \"pipeline\": true, "
+                 "\"serial_replay_tokens_per_s\": %.2f, "
+                 "\"sharded_replay_tokens_per_s\": %.2f}",
+                 ti == 0 ? "" : ", ", thread_sweep[ti],
+                 serial_replay[ti].tokens_per_s,
+                 sharded_replay[ti].tokens_per_s);
+  }
+  std::fprintf(out, "],\n");
   write_phase_attribution(out, "phase_attribution_sequential",
                           seq_run.phases, phase_threads);
   write_phase_attribution(out, "phase_attribution", pipe_run.phases,

@@ -106,6 +106,7 @@ void BM_HbmStreamingThroughput(benchmark::State& state) {
     mem::DramConfig config;
     config.enable_refresh = false;
     mem::Hbm hbm(config);
+    std::vector<mem::MemResponse> responses;
     const int n = 1024;
     int issued = 0;
     std::uint64_t addr = 0;
@@ -116,7 +117,7 @@ void BM_HbmStreamingThroughput(benchmark::State& state) {
         ++issued;
       }
       hbm.tick();
-      hbm.drain_responses();
+      hbm.drain_responses(responses);
     }
     benchmark::DoNotOptimize(hbm.stats().bytes_read);
   }

@@ -117,6 +117,7 @@ SimResult Engine::run(const AccelInstance& instance, bool record_timeline) {
 
   mem::Hbm hbm(config_.dram);
   hbm.enable_trace(config_.trace_dram);
+  std::vector<mem::MemResponse> responses;  // drain buffer, reused
   Dag dag(config_.estimator);
   dag.reset(len);
   const fx::MarginTable margins(instance.q, kparams);
@@ -261,7 +262,8 @@ SimResult Engine::run(const AccelInstance& instance, bool record_timeline) {
     // DRAM advances dram_clocks_per_core per core cycle; route responses.
     for (int k = 0; k < config_.dram_clocks_per_core; ++k) {
       hbm.tick();
-      for (const auto& resp : hbm.drain_responses()) {
+      hbm.drain_responses(responses);
+      for (const auto& resp : responses) {
         const auto d = decode_id(resp.id);
         auto& lane = lanes[d.token % lanes_n];
         --outstanding[d.token % lanes_n];
@@ -459,7 +461,8 @@ SimResult Engine::run(const AccelInstance& instance, bool record_timeline) {
 
     for (int k = 0; k < config_.dram_clocks_per_core; ++k) {
       hbm.tick();
-      for (const auto& resp : hbm.drain_responses()) {
+      hbm.drain_responses(responses);
+      for (const auto& resp : responses) {
         const auto d = decode_id(resp.id);
         auto& lane = lanes[d.token % lanes_n];
         if (lane.deliver_granule(d.token, num_chunks, gpv)) {

@@ -13,5 +13,10 @@ namespace topick {
 inline void require(bool condition, const std::string& message) {
   if (!condition) throw std::logic_error(message);
 }
+// A literal message builds no std::string unless the check fails, so hot
+// paths pay only the compare.
+inline void require(bool condition, const char* message) {
+  if (!condition) throw std::logic_error(message);
+}
 
 }  // namespace topick

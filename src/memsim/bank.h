@@ -16,6 +16,11 @@ class Bank {
     return has_open_row_ && open_row_ == row;
   }
   bool any_row_open() const { return has_open_row_; }
+  // Row hit whose column command could issue at `now`
+  // (earliest_read_cycle(row, now) == now for an open row).
+  bool row_hit_ready(std::uint64_t row, std::uint64_t now) const {
+    return row_open(row) && ready_cycle_ <= now;
+  }
 
   // Earliest cycle a RD to `row` could issue, counting any needed PRE/ACT.
   // Does not mutate state.

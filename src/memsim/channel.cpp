@@ -6,6 +6,10 @@
 
 namespace topick::mem {
 
+namespace {
+constexpr std::uint64_t kNever = UINT64_MAX;
+}  // namespace
+
 Channel::Channel(const DramConfig& config)
     : config_(&config),
       queue_limit_(static_cast<std::size_t>(config.queue_depth)),
@@ -14,12 +18,14 @@ Channel::Channel(const DramConfig& config)
   for (int b = 0; b < config.banks_per_channel; ++b) {
     banks_.emplace_back(config.timing);
   }
+  queue_.reserve(queue_limit_);
 }
 
 void Channel::enqueue(const MemRequest& request, const LocalAddr& local) {
   require(can_accept(), "Channel: queue full (check can_accept first)");
   require(local.bank < banks_.size(), "Channel: bank out of range");
-  queue_.push_back(QueuedRequest{request, local, 0});
+  queue_.push_back(QueuedRequest{request, local});
+  wake_ = 0;
 }
 
 void Channel::maybe_refresh(std::uint64_t now) {
@@ -31,60 +37,71 @@ void Channel::maybe_refresh(std::uint64_t now) {
   ++stats_.refreshes;
 }
 
-std::size_t Channel::pick_request(std::uint64_t now, bool& found) {
-  found = false;
-  std::size_t best = 0;
-  // First pass: oldest row hit whose bank can take the column command now.
+std::size_t Channel::pick_request(std::uint64_t now) const {
   for (std::size_t i = 0; i < queue_.size(); ++i) {
     const auto& qr = queue_[i];
-    const auto& bank = banks_[qr.local.bank];
-    if (bank.row_open(qr.local.row) &&
-        bank.earliest_read_cycle(qr.local.row, now) == now) {
-      found = true;
-      return i;
-    }
+    if (banks_[qr.local.bank].row_hit_ready(qr.local.row, now)) return i;
   }
-  // Second pass: the oldest request (FCFS) regardless of row state.
+  return 0;
+}
+
+std::uint64_t Channel::next_event(std::uint64_t now) const {
+  std::uint64_t next = kNever;
+  if (config_->enable_refresh) next = std::max(now, next_refresh_);
+  if (!in_flight_.empty()) {
+    next = std::min(next, std::max(now, in_flight_.front().done_cycle));
+  }
   if (!queue_.empty()) {
-    found = true;
-    best = 0;
+    std::uint64_t issue = std::max(now, refresh_until_);
+    if (fault_ != nullptr) issue = fault_->next_unstalled(issue);
+    next = std::min(next, issue);
   }
-  return best;
+  return next;
+}
+
+void Channel::skip_to(std::uint64_t now, std::uint64_t target) {
+  // With work queued, every skipped cycle past the refresh window lies in a
+  // stall window (target <= next_event(now)), and tick() counts each one.
+  if (fault_ == nullptr || queue_.empty()) return;
+  const std::uint64_t from = std::max(now, refresh_until_);
+  if (target > from) stats_.fault_stall_cycles += target - from;
 }
 
 void Channel::tick(std::uint64_t now, std::vector<MemResponse>& done,
                    std::vector<TraceEntry>* trace) {
   maybe_refresh(now);
 
-  // Retire finished transfers.
-  for (std::size_t i = 0; i < in_flight_.size();) {
-    if (in_flight_[i].done_cycle <= now) {
-      done.push_back(MemResponse{in_flight_[i].request.id, now});
-      in_flight_[i] = in_flight_.back();
-      in_flight_.pop_back();
+  while (!in_flight_.empty() && in_flight_.front().done_cycle <= now) {
+    done.push_back(MemResponse{in_flight_.front().request.id, now});
+    in_flight_.pop_front();
+  }
+
+  // No issue while refreshing. An injected stall window blocks issue too
+  // (in-flight bursts still drained above) and is counted only while work
+  // is actually blocked.
+  if (now >= refresh_until_ && !queue_.empty()) {
+    if (fault_ != nullptr && fault_->stalled(now)) {
+      ++stats_.fault_stall_cycles;
     } else {
-      ++i;
+      issue(now, trace);
     }
   }
 
-  if (now < refresh_until_) return;  // channel busy refreshing
-  // Injected stall window: no new command issues, in-flight bursts drained
-  // above. Counted only while work is actually blocked.
-  if (fault_ != nullptr && fault_->stalled(now)) {
-    if (!queue_.empty()) ++stats_.fault_stall_cycles;
-    return;
-  }
-  if (queue_.empty()) return;
+  // Work still queued past the refresh window can issue next cycle, and a
+  // queue under a fault keeps ticking so each stalled cycle is counted.
+  const bool busy = !queue_.empty() &&
+                    (fault_ != nullptr || now + 1 >= refresh_until_);
+  wake_ = busy ? now + 1 : next_event(now + 1);
+}
 
-  bool found = false;
-  const std::size_t pick = pick_request(now, found);
-  if (!found) return;
-
+void Channel::issue(std::uint64_t now, std::vector<TraceEntry>* trace) {
   // Commit the chosen request: the bank walks through its PRE/ACT/RD
   // sequence (reserved via issue_read), the data burst starts after CAS
   // latency once the shared data bus frees up. One commit per clock models
   // the command-bus bandwidth.
-  auto& qr = queue_[pick];
+  const std::size_t pick = pick_request(now);
+  const QueuedRequest qr = queue_[pick];
+  queue_.erase(pick);
   auto& bank = banks_[qr.local.bank];
   const bool was_hit = bank.row_open(qr.local.row);
   const std::uint64_t col_cycle = bank.issue_read(qr.local.row, now);
@@ -112,7 +129,6 @@ void Channel::tick(std::uint64_t now, std::vector<MemResponse>& done,
   }
 
   in_flight_.push_back(InFlight{qr.request, burst_start + burst_cycles});
-  queue_.erase(queue_.begin() + static_cast<long>(pick));
 }
 
 std::uint64_t Channel::replay(const std::vector<TimedArrival>& arrivals,
@@ -122,12 +138,20 @@ std::uint64_t Channel::replay(const std::vector<TimedArrival>& arrivals,
   std::uint64_t now = start;
   std::size_t next = 0;
   while (next < arrivals.size() || pending() > 0) {
-    // Idle fast-forward: nothing queued or in flight and the next arrival is
-    // in the future. Refresh bookkeeping is clocked by tick(), so skipping
-    // is only exact with refresh off; with it on, tick through the gap.
-    if (pending() == 0 && next < arrivals.size() &&
-        arrivals[next].arrival > now && !config_->enable_refresh) {
-      now = arrivals[next].arrival;
+    // Jump to the next channel event or arrival. An arrival already due is
+    // only still waiting because the queue is full; it stays blocked (one
+    // queue-full stall per cycle) until the next event frees a slot.
+    const bool due = next < arrivals.size() && arrivals[next].arrival <= now;
+    std::uint64_t target = next_event(now);
+    if (next < arrivals.size() && !due) {
+      target = std::min(target, arrivals[next].arrival);
+    } else if (due && can_accept()) {
+      target = now;
+    }
+    if (target > now) {
+      skip_to(now, target);
+      if (due) stats_.queue_full_stalls += target - now;
+      now = target;
     }
     while (next < arrivals.size() && arrivals[next].arrival <= now) {
       if (!can_accept()) {

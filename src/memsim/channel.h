@@ -3,11 +3,11 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "memsim/bank.h"
 #include "memsim/dram_config.h"
+#include "memsim/ring.h"
 #include "memsim/types.h"
 
 namespace topick::mem {
@@ -36,14 +36,35 @@ class Channel {
 
   // Advances one DRAM clock; completed transactions are appended to `done`.
   // When `trace` is non-null, committed commands are appended to it.
+  // In-flight bursts retire in FIFO order: each burst starts no earlier than
+  // the previous one ends and lasts >= 1 cycle, so done cycles strictly
+  // increase and at most one burst retires per cycle.
   void tick(std::uint64_t now, std::vector<MemResponse>& done,
             std::vector<TraceEntry>* trace = nullptr);
 
+  // True when tick(now) would change nothing (no burst due, no refresh due,
+  // no request able to issue): Hbm::tick skips the channel for one compare.
+  // A queue blocked by a fault stall window is never quiet, because tick()
+  // counts each stalled cycle.
+  bool quiet(std::uint64_t now) const { return now < wake_; }
+
+  // Event-driven clock. next_event(now) is the first cycle >= now on which
+  // tick() does more than count a fault stall: the front in-flight burst
+  // completes, a refresh is due, or a queued request can issue (its refresh
+  // window and fault stall window over). UINT64_MAX when there is none.
+  std::uint64_t next_event(std::uint64_t now) const;
+  // Accounts the skipped cycles [now, target), target <= next_event(now):
+  // fault_stall_cycles accrue in bulk, everything else was idle. Ticking at
+  // `target` afterwards is cycle-exact with ticking every skipped cycle.
+  void skip_to(std::uint64_t now, std::uint64_t target);
+
   // Self-clocked replay of a pre-scheduled arrival stream: each entry is
   // enqueued once its arrival cycle passes (and queue space allows — a full
-  // queue delays it and bumps stats().queue_full_stalls), then the channel
-  // ticks its own clock until every transaction retires. Starts no earlier
-  // than `start`, returns the cycle after the last tick. `arrivals` must be
+  // queue delays it and bumps stats().queue_full_stalls once per blocked
+  // cycle), then the channel runs its own clock until every transaction
+  // retires. Quiet stretches between arrivals are jumped over with
+  // next_event()/skip_to(), refresh on or off. Starts no earlier than
+  // `start`, returns the cycle after the last tick. `arrivals` must be
   // sorted by arrival cycle; same-channel transaction order is preserved
   // exactly (FIFO into the queue in `arrivals` order). With refresh off and
   // zero stalls this is cycle-exact vs. driving the same arrivals through
@@ -61,14 +82,16 @@ class Channel {
   // tick() so the serial driver, replay(), and Hbm::replay_sharded all see
   // identical behavior. The pointee must outlive the channel's use; nullptr
   // (the default) restores bit-identical healthy behavior.
-  void set_fault(const ChannelFault* fault) { fault_ = fault; }
+  void set_fault(const ChannelFault* fault) {
+    fault_ = fault;
+    wake_ = 0;
+  }
   const ChannelFault* fault() const { return fault_; }
 
  private:
   struct QueuedRequest {
     MemRequest request;
     LocalAddr local;
-    std::uint64_t arrival = 0;
   };
   struct InFlight {
     MemRequest request;
@@ -76,17 +99,20 @@ class Channel {
   };
 
   void maybe_refresh(std::uint64_t now);
-  // FR-FCFS: first ready row-hit wins, else the oldest issuable request.
-  std::size_t pick_request(std::uint64_t now, bool& found);
+  // FR-FCFS: the oldest ready row hit, else the oldest request (queue
+  // non-empty).
+  std::size_t pick_request(std::uint64_t now) const;
+  void issue(std::uint64_t now, std::vector<TraceEntry>* trace);
 
   const DramConfig* config_;
   std::size_t queue_limit_;
   std::vector<Bank> banks_;
-  std::deque<QueuedRequest> queue_;
-  std::vector<InFlight> in_flight_;
+  Ring<QueuedRequest> queue_;  // capacity >= queue_limit_, never grows
+  Ring<InFlight> in_flight_;   // done_cycle strictly increasing
   std::uint64_t data_bus_free_ = 0;   // next cycle the data bus is free
   std::uint64_t next_refresh_ = 0;
   std::uint64_t refresh_until_ = 0;
+  std::uint64_t wake_ = 0;  // quiet() before this cycle
   const ChannelFault* fault_ = nullptr;
   DramStats stats_;
 };

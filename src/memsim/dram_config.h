@@ -52,6 +52,13 @@ struct ChannelFault {
   bool stalled(std::uint64_t now) const {
     return stall_period != 0 && now % stall_period < stall_cycles;
   }
+  // First cycle >= now outside every stall window; UINT64_MAX when the
+  // windows cover every cycle (stall_cycles >= stall_period).
+  std::uint64_t next_unstalled(std::uint64_t now) const {
+    if (!stalled(now)) return now;
+    if (stall_cycles >= stall_period) return UINT64_MAX;
+    return now - now % stall_period + stall_cycles;
+  }
   std::uint64_t burst_cycles(int t_burst) const {
     const double scaled = static_cast<double>(t_burst) * burst_multiplier;
     return scaled > 1.0 ? static_cast<std::uint64_t>(scaled) : 1;

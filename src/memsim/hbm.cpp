@@ -12,6 +12,10 @@ Hbm::Hbm(const DramConfig& config) : config_(config) {
           "DramConfig: channels/banks must be positive");
   require(config.row_bytes % config.transaction_bytes == 0,
           "DramConfig: row_bytes must be a multiple of the granule");
+  // Per-channel FIFO retirement relies on every burst lasting >= 1 cycle;
+  // an empty queue could never accept a request.
+  require(config.timing.t_burst >= 1 && config.queue_depth >= 1,
+          "DramConfig: t_burst and queue_depth must be >= 1");
   channels_.reserve(static_cast<std::size_t>(config.channels));
   for (int c = 0; c < config.channels; ++c) channels_.emplace_back(config_);
 }
@@ -45,6 +49,7 @@ bool Hbm::try_enqueue(const MemRequest& request) {
 
 void Hbm::tick() {
   for (std::size_t c = 0; c < channels_.size(); ++c) {
+    if (channels_[c].quiet(cycle_)) continue;
     const std::size_t before = trace_.size();
     channels_[c].tick(cycle_, responses_, trace_enabled_ ? &trace_ : nullptr);
     for (std::size_t i = before; i < trace_.size(); ++i) {
@@ -52,6 +57,16 @@ void Hbm::tick() {
     }
   }
   ++cycle_;
+}
+
+void Hbm::advance_to_next_event(std::uint64_t limit) {
+  std::uint64_t target = limit;
+  for (const Channel& channel : channels_) {
+    target = std::min(target, channel.next_event(cycle_));
+  }
+  if (target <= cycle_) return;
+  for (Channel& channel : channels_) channel.skip_to(cycle_, target);
+  cycle_ = target;
 }
 
 std::uint64_t Hbm::replay_sharded(const std::vector<TimedRequest>& schedule,
@@ -107,10 +122,9 @@ std::string Hbm::trace_csv() const {
   return out;
 }
 
-std::vector<MemResponse> Hbm::drain_responses() {
-  std::vector<MemResponse> out;
+void Hbm::drain_responses(std::vector<MemResponse>& out) {
+  out.clear();
   out.swap(responses_);
-  return out;
 }
 
 std::size_t Hbm::pending() const {

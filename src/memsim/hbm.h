@@ -41,8 +41,18 @@ class Hbm {
   // when the target channel queue is full.
   bool try_enqueue(const MemRequest& request);
 
-  // Advances one DRAM clock.
+  // Advances one DRAM clock. Channels with nothing due this cycle (see
+  // Channel::quiet) cost one compare.
   void tick();
+
+  // Jumps the clock to the next cycle on which some channel has work — a
+  // burst completes, a refresh is due, or a queued request can issue — or
+  // to `limit` if that comes first; never moves the clock backwards. Every
+  // skipped cycle is one on which tick() would have changed nothing (fault
+  // stall cycles accrue in bulk), so jumping and then ticking is
+  // cycle-exact with ticking through the gap. A caller that would enqueue
+  // or observe inside the gap caps `limit` at that cycle.
+  void advance_to_next_event(std::uint64_t limit);
 
   // Sharded replay: partitions `schedule` (sorted by arrival cycle) per
   // channel and replays each channel independently on its own clock — in
@@ -50,6 +60,9 @@ class Hbm {
   // one global serial tick loop. Responses land in drain_responses(), trace
   // entries are merged per channel, and cycle() advances to the latest
   // channel's end cycle. Results are bit-identical for any `pool` width.
+  //
+  // Each channel's replay is event-driven (Channel::replay), so idle gaps
+  // between arrivals cost nothing, refresh on or off.
   //
   // Cycle reconciliation contract: with enable_refresh off and zero
   // queue_full_stalls, per-request finish cycles, per-channel stats, and the
@@ -62,8 +75,11 @@ class Hbm {
   std::uint64_t replay_sharded(const std::vector<TimedRequest>& schedule,
                                ThreadPool* pool = nullptr);
 
-  // Responses completed since the last drain (any order across channels).
-  std::vector<MemResponse> drain_responses();
+  // Moves the responses completed since the last drain into `out`,
+  // replacing its contents (any order across channels). `out`'s storage
+  // becomes the next accumulation buffer, so a caller that keeps one buffer
+  // drains without allocating.
+  void drain_responses(std::vector<MemResponse>& out);
 
   std::uint64_t cycle() const { return cycle_; }
   // Transactions queued or in flight inside the DRAM. Responses already

@@ -11,6 +11,7 @@
 // cannot change a bit of output (the determinism suite runs with it on).
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -28,6 +29,10 @@ struct StepPhaseStats {
   std::uint64_t reduce_ns = 0;    // slot-ordered reduction (post-barrier)
   std::uint64_t replay_ns = 0;    // memsim DRAM replay (host time, inline)
   std::uint64_t other_ns = 0;     // checkpoints, fragmentation sampling
+  // Widest attention fan-out any step engaged (participants, the calling
+  // thread included): worker w's trace track holds spans only if
+  // w < max_fanout, because the pool wakes no worker past a step's fan-out.
+  std::uint64_t max_fanout = 0;
 
   // Pipelined-executor attribution (zero in fork-join mode):
   //   * reduce_overlap_ns — slot-ordered reduction interleaved INSIDE the
@@ -57,6 +62,7 @@ struct StepPhaseStats {
     reduce_ns += other.reduce_ns;
     replay_ns += other.replay_ns;
     other_ns += other.other_ns;
+    max_fanout = std::max(max_fanout, other.max_fanout);
     reduce_overlap_ns += other.reduce_overlap_ns;
     lane_busy_ns += other.lane_busy_ns;
     lane_wait_ns += other.lane_wait_ns;

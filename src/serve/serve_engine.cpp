@@ -1290,7 +1290,8 @@ void ServeEngine::simulate_step_dram(const std::vector<StepXfer>& active) {
       dram_offset_[active[i].request] += remaining[i];
     }
     hbm_.replay_sharded(schedule, replay_pool_.get());
-    for (const auto& resp : hbm_.drain_responses()) {
+    hbm_.drain_responses(dram_responses_);
+    for (const auto& resp : dram_responses_) {
       finish[resp.id] = std::max(finish[resp.id], resp.ready_cycle);
     }
   } else {
@@ -1306,7 +1307,19 @@ void ServeEngine::simulate_step_dram(const std::vector<StepXfer>& active) {
         "ch0", "ch1", "ch2", "ch3", "ch4", "ch5", "ch6", "ch7"};
 
     while (total_remaining > 0 || hbm_.pending() > 0) {
-      for (std::size_t i = 0; i < active.size(); ++i) {
+      if (total_remaining == 0) {
+        // Drain tail: every granule is queued, so jump the clock over quiet
+        // cycles — never past the next channel_pending sample cycle, so the
+        // samples land where the per-cycle loop put them.
+        std::uint64_t limit = UINT64_MAX;
+        if (trace_ != nullptr) {
+          const std::uint64_t phase =
+              (hbm_.cycle() - start) % kChannelSampleCycles;
+          limit = hbm_.cycle() + (phase == 0 ? 0 : kChannelSampleCycles - phase);
+        }
+        hbm_.advance_to_next_event(limit);
+      }
+      for (std::size_t i = 0; i < active.size() && total_remaining > 0; ++i) {
         if (remaining[i] == 0) continue;
         const std::size_t request = active[i].request;
         mem::MemRequest mreq;
@@ -1324,7 +1337,8 @@ void ServeEngine::simulate_step_dram(const std::vector<StepXfer>& active) {
         }
       }
       hbm_.tick();
-      for (const auto& resp : hbm_.drain_responses()) {
+      hbm_.drain_responses(dram_responses_);
+      for (const auto& resp : dram_responses_) {
         finish[resp.id] = std::max(finish[resp.id], resp.ready_cycle);
       }
       if (trace_ != nullptr &&
@@ -1549,6 +1563,10 @@ bool ServeEngine::step() {
     if (avg < kGrainTokens) grain = static_cast<std::size_t>(kGrainTokens / avg);
   }
   const std::size_t engaged = workers_.fanout(units_.size(), grain);
+  if (phases) {
+    phase_stats_.max_fanout =
+        std::max<std::uint64_t>(phase_stats_.max_fanout, engaged);
+  }
 
   if (!config_.pipeline) {
     {

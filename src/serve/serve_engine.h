@@ -563,6 +563,7 @@ class ServeEngine {
   ContinuousBatcher batcher_;
   std::unique_ptr<SchedulingPolicy> policy_;
   mem::Hbm hbm_;
+  std::vector<mem::MemResponse> dram_responses_;  // drain buffer, reused
   ThreadPool workers_;
 
   std::vector<Request> requests_;

@@ -37,6 +37,7 @@ std::pair<std::uint64_t, mem::DramStats> stream_channel(
   config.enable_refresh = false;
   mem::Hbm hbm(config);
   if (fault != nullptr) hbm.set_channel_fault(0, fault);
+  std::vector<mem::MemResponse> drained;
   std::size_t sent = 0;
   while (sent < n || hbm.pending() > 0) {
     if (sent < n) {
@@ -47,7 +48,7 @@ std::pair<std::uint64_t, mem::DramStats> stream_channel(
       if (hbm.try_enqueue(req)) ++sent;
     }
     hbm.tick();
-    hbm.drain_responses();
+    hbm.drain_responses(drained);
   }
   return {hbm.cycle(), hbm.stats()};
 }

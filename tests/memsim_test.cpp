@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include "common/parallel.h"
+#include "common/rng.h"
 #include "memsim/hbm.h"
+#include "memsim_reference.h"
 
 namespace topick::mem {
 namespace {
@@ -16,6 +18,13 @@ DramConfig no_refresh_config() {
   return config;
 }
 
+// The responses completed since the last drain.
+std::vector<MemResponse> drain(Hbm& hbm) {
+  std::vector<MemResponse> out;
+  hbm.drain_responses(out);
+  return out;
+}
+
 // Runs until all pending transactions are retired; returns the responses.
 std::vector<MemResponse> run_to_completion(Hbm& hbm,
                                            std::uint64_t max_cycles = 200000) {
@@ -23,7 +32,7 @@ std::vector<MemResponse> run_to_completion(Hbm& hbm,
   std::uint64_t start = hbm.cycle();
   while (!hbm.idle()) {
     hbm.tick();
-    for (auto& r : hbm.drain_responses()) all.push_back(r);
+    for (auto& r : drain(hbm)) all.push_back(r);
     EXPECT_LT(hbm.cycle() - start, max_cycles) << "DRAM model did not drain";
     if (hbm.cycle() - start >= max_cycles) break;
   }
@@ -63,7 +72,7 @@ TEST(Hbm, SingleReadLatencyIsActPlusCas) {
   std::vector<MemResponse> responses;
   while (responses.empty()) {
     hbm.tick();
-    for (auto& r : hbm.drain_responses()) responses.push_back(r);
+    for (auto& r : drain(hbm)) responses.push_back(r);
     ASSERT_LT(hbm.cycle(), 1000u);
   }
   const auto expected = static_cast<std::uint64_t>(
@@ -83,7 +92,7 @@ TEST(Hbm, EveryRequestGetsExactlyOneResponse) {
       ++id;
     }
     hbm.tick();
-    for (auto& r : hbm.drain_responses()) {
+    for (auto& r : drain(hbm)) {
       ASSERT_TRUE(pending_ids.count(r.id)) << "duplicate or unknown response";
       pending_ids.erase(r.id);
     }
@@ -110,7 +119,7 @@ TEST(Hbm, RowHitsBeatRowMisses) {
   std::vector<MemResponse> r1;
   while (!streak.idle()) {
     streak.tick();
-    for (auto& r : streak.drain_responses()) r1.push_back(r);
+    for (auto& r : drain(streak)) r1.push_back(r);
   }
   const auto streak_cycles = streak.cycle();
 
@@ -142,7 +151,7 @@ TEST(Hbm, StreamingApproachesPeakBandwidth) {
       ++issued;
     }
     hbm.tick();
-    hbm.drain_responses();
+    drain(hbm);
     ASSERT_LT(hbm.cycle(), 100000u);
   }
   // 2048 granules over 8 channels at 1 granule/cycle/channel: >= 256 cycles.
@@ -173,7 +182,7 @@ TEST(Hbm, StatsAccounting) {
     ASSERT_TRUE(hbm.try_enqueue(
         MemRequest{static_cast<std::uint64_t>(i) * 32, static_cast<std::uint64_t>(i)}));
     hbm.tick();
-    hbm.drain_responses();
+    drain(hbm);
   }
   run_to_completion(hbm);
   const auto stats = hbm.stats();
@@ -194,7 +203,7 @@ TEST(Hbm, StreamingEnergyNearHbm2Class) {
       ++issued;
     }
     hbm.tick();
-    hbm.drain_responses();
+    drain(hbm);
   }
   const double pj_per_bit =
       hbm.energy_pj() / (static_cast<double>(n) * 32.0 * 8.0);
@@ -214,7 +223,7 @@ TEST(Hbm, RefreshAddsLatencyButDrains) {
       ++issued;
     }
     hbm.tick();
-    hbm.drain_responses();
+    drain(hbm);
   }
   while (!hbm.idle()) hbm.tick();
   EXPECT_GT(hbm.stats().refreshes, 0u);
@@ -227,6 +236,17 @@ TEST(Hbm, RejectsMisalignedRowConfig) {
   EXPECT_THROW(Hbm{config}, std::logic_error);
 }
 
+// FIFO retirement needs every burst to last >= 1 cycle, and a channel needs
+// room for at least one request.
+TEST(Hbm, RejectsConfigThatBreaksFifoRetirement) {
+  DramConfig zero_burst;
+  zero_burst.timing.t_burst = 0;
+  EXPECT_THROW(Hbm{zero_burst}, std::logic_error);
+  DramConfig zero_queue;
+  zero_queue.queue_depth = 0;
+  EXPECT_THROW(Hbm{zero_queue}, std::logic_error);
+}
+
 TEST(Hbm, TraceRecordsEveryCommittedTransaction) {
   Hbm hbm(no_refresh_config());
   hbm.enable_trace(true);
@@ -235,7 +255,7 @@ TEST(Hbm, TraceRecordsEveryCommittedTransaction) {
     ASSERT_TRUE(hbm.try_enqueue(MemRequest{static_cast<std::uint64_t>(i) * 32,
                                            static_cast<std::uint64_t>(i)}));
     hbm.tick();
-    hbm.drain_responses();
+    drain(hbm);
   }
   run_to_completion(hbm);
   EXPECT_EQ(hbm.trace().size(), static_cast<std::size_t>(n));
@@ -282,7 +302,7 @@ std::vector<MemResponse> drive_serial(Hbm& hbm,
       ++next;
     }
     hbm.tick();
-    for (auto& r : hbm.drain_responses()) done.push_back(r);
+    for (auto& r : drain(hbm)) done.push_back(r);
   }
   return done;
 }
@@ -314,7 +334,7 @@ TEST(ShardedReplay, CycleExactVsSerialDriverWithoutInterference) {
 
   Hbm sharded(no_refresh_config());
   const std::uint64_t end = sharded.replay_sharded(schedule);
-  const auto sharded_done = sharded.drain_responses();
+  const auto sharded_done = drain(sharded);
 
   EXPECT_EQ(sharded.stats().queue_full_stalls, 0u)
       << "no-interference precondition violated";
@@ -345,13 +365,13 @@ TEST(ShardedReplay, PoolWidthNeverChangesResults) {
   Hbm lone(no_refresh_config());
   lone.enable_trace(true);
   lone.replay_sharded(schedule, nullptr);
-  const auto lone_done = lone.drain_responses();
+  const auto lone_done = drain(lone);
 
   ThreadPool pool(4);
   Hbm pooled(no_refresh_config());
   pooled.enable_trace(true);
   pooled.replay_sharded(schedule, &pool);
-  const auto pooled_done = pooled.drain_responses();
+  const auto pooled_done = drain(pooled);
 
   EXPECT_EQ(pooled.cycle(), lone.cycle());
   ASSERT_EQ(pooled_done.size(), lone_done.size());
@@ -413,6 +433,244 @@ TEST(Hbm, TraceDisabledByDefault) {
   ASSERT_TRUE(hbm.try_enqueue(MemRequest{0, 0}));
   run_to_completion(hbm);
   EXPECT_TRUE(hbm.trace().empty());
+}
+
+// ---- Equivalence with the per-cycle reference model -------------------------
+//
+// tests/memsim_reference.h keeps the plain per-cycle clock. The event-driven
+// model must match it cycle for cycle: responses (id, ready cycle) in drain
+// order, per-channel stats and occupancy, trace entries, cycle(), pending().
+
+struct EquivCase {
+  const char* name;
+  bool refresh;
+  int queue_depth;
+  bool faults;
+};
+
+const EquivCase kEquivCases[] = {
+    {"refresh_off", false, 16, false},
+    {"refresh_on", true, 16, false},
+    {"refresh_on_faults", true, 16, true},
+    {"refresh_off_faults", false, 16, true},
+    {"queue_depth_1_refresh_on_faults", true, 1, true},
+    {"queue_depth_1_refresh_off", false, 1, false},
+};
+
+DramConfig equiv_config(const EquivCase& c) {
+  DramConfig config;
+  config.channels = 4;
+  config.enable_refresh = c.refresh;
+  config.queue_depth = c.queue_depth;
+  config.timing.t_refi = 700;  // many refreshes in a short run
+  config.timing.t_rfc = 90;
+  return config;
+}
+
+// Channel 1 runs a stretched bus inside stall windows, channel 2 only stall
+// windows, channel 3 only a stretched bus.
+std::vector<ChannelFault> equiv_faults() {
+  std::vector<ChannelFault> faults(4);
+  faults[1].burst_multiplier = 2.5;
+  faults[1].stall_period = 257;
+  faults[1].stall_cycles = 60;
+  faults[2].stall_period = 100;
+  faults[2].stall_cycles = 37;
+  faults[3].burst_multiplier = 3.0;
+  return faults;
+}
+
+// Alternating busy bursts and quiet gaps; sequential streams mixed with
+// random addresses so rows both hit and conflict.
+std::vector<TimedRequest> random_plan(std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<TimedRequest> plan;
+  std::uint64_t cycle = rng.uniform_index(50);
+  std::uint64_t stream = rng.uniform_index(1 << 16) * 32;
+  std::uint64_t id = 0;
+  for (int phase = 0; phase < 8; ++phase) {
+    const std::uint64_t busy_end = cycle + 50 + rng.uniform_index(350);
+    for (; cycle < busy_end; ++cycle) {
+      if (!rng.bernoulli(0.6)) continue;
+      const std::uint64_t n = 1 + rng.uniform_index(6);
+      for (std::uint64_t k = 0; k < n; ++k) {
+        MemRequest request;
+        if (rng.bernoulli(0.6)) {
+          request.addr = stream;
+          stream += 32;
+        } else {
+          request.addr = rng.uniform_index(1 << 17) * 32;
+        }
+        request.id = id++;
+        plan.push_back(TimedRequest{request, cycle});
+      }
+    }
+    cycle += 100 + rng.uniform_index(1500);  // quiet gap
+  }
+  return plan;
+}
+
+std::vector<std::pair<std::uint64_t, std::uint64_t>> as_pairs(
+    const std::vector<MemResponse>& responses) {
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
+  for (const auto& r : responses) out.emplace_back(r.id, r.ready_cycle);
+  return out;
+}
+
+void expect_stats_identical(const DramStats& a, const DramStats& b) {
+  EXPECT_EQ(a.requests, b.requests);
+  EXPECT_EQ(a.row_hits, b.row_hits);
+  EXPECT_EQ(a.row_misses, b.row_misses);
+  EXPECT_EQ(a.activates, b.activates);
+  EXPECT_EQ(a.refreshes, b.refreshes);
+  EXPECT_EQ(a.bytes_read, b.bytes_read);
+  EXPECT_EQ(a.data_bus_busy_cycles, b.data_bus_busy_cycles);
+  EXPECT_EQ(a.queue_full_stalls, b.queue_full_stalls);
+  EXPECT_EQ(a.fault_stall_cycles, b.fault_stall_cycles);
+}
+
+void expect_traces_identical(const std::vector<TraceEntry>& a,
+                             const std::vector<TraceEntry>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(a[i].cycle, b[i].cycle);
+    EXPECT_EQ(a[i].addr, b[i].addr);
+    EXPECT_EQ(a[i].channel, b[i].channel);
+    EXPECT_EQ(a[i].row_hit, b[i].row_hit);
+  }
+}
+
+// Drives the serial clock of both models with the same plan (a request that
+// finds its queue full retries the next cycle). With `jump`, the model under
+// test skips to the next event or arrival before every tick while the
+// reference ticks through the gap, which must stay silent.
+void run_serial_equivalence(const EquivCase& c, std::uint64_t seed,
+                            bool jump) {
+  const DramConfig config = equiv_config(c);
+  const std::vector<ChannelFault> faults = equiv_faults();
+  Hbm hbm(config);
+  reference::Hbm ref(config);
+  hbm.enable_trace(true);
+  if (c.faults) {
+    for (std::size_t ch = 0; ch < faults.size(); ++ch) {
+      hbm.set_channel_fault(ch, &faults[ch]);
+      ref.set_channel_fault(ch, &faults[ch]);
+    }
+  }
+  const std::vector<TimedRequest> plan = random_plan(seed);
+  std::vector<MemResponse> got;
+  std::size_t next = 0;
+  while (next < plan.size() || hbm.pending() > 0) {
+    if (jump) {
+      hbm.advance_to_next_event(next < plan.size() ? plan[next].arrival
+                                                   : UINT64_MAX);
+    }
+    while (ref.cycle() < hbm.cycle()) {
+      ref.tick();
+      ASSERT_TRUE(ref.drain_responses().empty())
+          << "jumped over a completion at cycle " << ref.cycle() - 1;
+    }
+    ASSERT_EQ(hbm.cycle(), ref.cycle());
+    while (next < plan.size() && plan[next].arrival <= hbm.cycle()) {
+      const bool accepted = hbm.try_enqueue(plan[next].request);
+      ASSERT_EQ(accepted, ref.try_enqueue(plan[next].request));
+      if (!accepted) break;
+      ++next;
+    }
+    hbm.tick();
+    ref.tick();
+    hbm.drain_responses(got);
+    ASSERT_EQ(as_pairs(got), as_pairs(ref.drain_responses()))
+        << "at cycle " << ref.cycle() - 1;
+    ASSERT_EQ(hbm.pending(), ref.pending());
+    for (std::size_t ch = 0; ch < hbm.channel_count(); ++ch) {
+      ASSERT_EQ(hbm.channel(ch).pending(), ref.channel(ch).pending());
+    }
+  }
+  EXPECT_EQ(ref.pending(), 0u);
+  EXPECT_EQ(hbm.cycle(), ref.cycle());
+  for (std::size_t ch = 0; ch < hbm.channel_count(); ++ch) {
+    SCOPED_TRACE(ch);
+    expect_stats_identical(hbm.channel(ch).stats(), ref.channel(ch).stats());
+  }
+  expect_traces_identical(hbm.trace(), ref.trace());
+  if (c.refresh) {
+    EXPECT_GT(hbm.stats().refreshes, 0u);
+  }
+  if (c.faults) {
+    EXPECT_GT(hbm.stats().fault_stall_cycles, 0u);
+  }
+}
+
+TEST(ReferenceModel, SerialTickMatchesCycleByCycle) {
+  for (const EquivCase& c : kEquivCases) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      SCOPED_TRACE(testing::Message() << c.name << " seed " << seed);
+      run_serial_equivalence(c, seed, /*jump=*/false);
+    }
+  }
+}
+
+TEST(ReferenceModel, ClockJumpMatchesCycleByCycle) {
+  for (const EquivCase& c : kEquivCases) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      SCOPED_TRACE(testing::Message() << c.name << " seed " << seed);
+      run_serial_equivalence(c, seed, /*jump=*/true);
+    }
+  }
+}
+
+// Channel::replay jumps over idle gaps with refresh on; the reference ticks
+// through them. Two back-to-back replays on one channel, the second starting
+// several refresh intervals after the first ended, also cover refreshes
+// that fall due while the channel's clock was not running.
+TEST(ReferenceModel, ChannelReplayMatchesWithRefreshOn) {
+  const std::vector<ChannelFault> faults = equiv_faults();
+  for (const EquivCase& c : kEquivCases) {
+    if (!c.refresh) continue;
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      SCOPED_TRACE(testing::Message() << c.name << " seed " << seed);
+      const DramConfig config = equiv_config(c);
+      const Hbm map(config);
+      Channel channel(config);
+      reference::Channel ref(config);
+      if (c.faults) {
+        channel.set_fault(&faults[1]);
+        ref.set_fault(&faults[1]);
+      }
+      std::uint64_t start = 0;
+      std::uint64_t ref_start = 0;
+      for (int pass = 0; pass < 2; ++pass) {
+        std::vector<TimedArrival> arrivals;
+        for (const TimedRequest& tr : random_plan(seed * 10 + pass)) {
+          arrivals.push_back(TimedArrival{
+              tr.request, map.local_of(tr.request.addr), start + tr.arrival});
+        }
+        std::vector<MemResponse> done;
+        std::vector<MemResponse> ref_done;
+        std::vector<TraceEntry> trace;
+        std::vector<TraceEntry> ref_trace;
+        const std::uint64_t end = channel.replay(arrivals, start, done, &trace);
+        const std::uint64_t ref_end =
+            ref.replay(arrivals, ref_start, ref_done, &ref_trace);
+        EXPECT_EQ(end, ref_end);
+        EXPECT_EQ(as_pairs(done), as_pairs(ref_done));
+        expect_traces_identical(trace, ref_trace);
+        expect_stats_identical(channel.stats(), ref.stats());
+        EXPECT_EQ(channel.pending(), 0u);
+        start = end + 5 * static_cast<std::uint64_t>(config.timing.t_refi);
+        ref_start = start;
+      }
+      EXPECT_GT(channel.stats().refreshes, 0u);
+      if (c.queue_depth == 1) {
+        EXPECT_GT(channel.stats().queue_full_stalls, 0u);
+      }
+      if (c.faults) {
+        EXPECT_GT(channel.stats().fault_stall_cycles, 0u);
+      }
+    }
+  }
 }
 
 }  // namespace

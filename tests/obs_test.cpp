@@ -21,7 +21,6 @@
 #include <map>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -277,7 +276,8 @@ std::vector<wl::ArrivalEvent> traced_trace() {
 
 // Runs a full engine with tracing + phase stats into `recorder`.
 FleetMetrics run_traced(const ServeConfig& base, TraceRecorder* recorder,
-                        std::vector<serve::Request>* requests = nullptr) {
+                        std::vector<serve::Request>* requests = nullptr,
+                        obs::StepPhaseStats* phases = nullptr) {
   ServeConfig config = base;
   config.trace = recorder;
   config.collect_phase_stats = true;
@@ -285,6 +285,7 @@ FleetMetrics run_traced(const ServeConfig& base, TraceRecorder* recorder,
   engine.submit_trace(traced_trace());
   engine.run();
   if (requests != nullptr) *requests = engine.requests();
+  if (phases != nullptr) *phases = engine.phase_stats();
   return engine.metrics();
 }
 
@@ -367,8 +368,14 @@ TEST(Trace, SpansProperlyNestedPerTrack) {
   TraceRecorder recorder(1);
   ServeConfig config = traced_config(PolicyKind::fifo_youngest_first);
   config.threads = 2;
-  run_traced(config, &recorder);
+  obs::StepPhaseStats phases;
+  run_traced(config, &recorder, nullptr, &phases);
   ASSERT_GE(recorder.tracks(), 2u);
+  // The fan-out the engine engaged: the host's core count and the grain
+  // heuristic decide it, so a track may legitimately stay empty.
+  const std::uint64_t engaged = phases.max_fanout;
+  ASSERT_GE(engaged, 1u);
+  ASSERT_LE(engaged, 2u);
 
   for (std::size_t track = 0; track < recorder.tracks(); ++track) {
     std::vector<SpanInterval> spans;
@@ -377,11 +384,8 @@ TEST(Trace, SpansProperlyNestedPerTrack) {
       spans.push_back(SpanInterval{e.ts, e.ts + e.dur, e.name});
     }
     SCOPED_TRACE(track);
-    // The pool caps spawned workers to the host's core count, so tracks
-    // beyond it legitimately stay empty on small machines.
-    if (track < std::thread::hardware_concurrency()) {
-      EXPECT_FALSE(spans.empty());
-    }
+    // A worker track holds spans exactly when the engine engaged it.
+    EXPECT_EQ(!spans.empty(), track < engaged);
     expect_no_partial_overlap(spans);
   }
 }
@@ -444,6 +448,30 @@ TEST(Trace, EventCountsReconcileWithFleetMetrics) {
   // cancellation — so their token args sum to exactly the prefill counter.
   EXPECT_DOUBLE_EQ(prefill_chunk_tokens,
                    static_cast<double>(metrics.prefill_tokens));
+}
+
+// The serial replay samples channel occupancy on cycle 1 of every replay
+// window and every 64 cycles after, however far its drain tail jumps the
+// DRAM clock between events.
+TEST(Trace, ChannelSamplesKeepTheirCadenceAcrossClockJumps) {
+  TraceRecorder recorder(1);
+  run_traced(traced_config(PolicyKind::fifo_youngest_first), &recorder);
+  std::vector<std::uint64_t> expected;
+  std::vector<std::uint64_t> samples;
+  for (std::size_t track = 0; track < recorder.tracks(); ++track) {
+    for (const TraceEvent& e : recorder.track_events(track)) {
+      if (e.domain != TraceDomain::memsim) continue;
+      const std::string name = e.name;
+      if (name == "channel_pending") samples.push_back(e.ts);
+      if (name == "replay") {
+        for (std::uint64_t c = e.ts + 1; c <= e.ts + e.dur; c += 64) {
+          expected.push_back(c);
+        }
+      }
+    }
+  }
+  ASSERT_FALSE(expected.empty());
+  EXPECT_EQ(samples, expected);
 }
 
 // ---- Determinism: tracing never changes bits --------------------------------

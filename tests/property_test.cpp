@@ -229,6 +229,7 @@ TEST_P(ChannelSweep, StreamingScalesWithChannels) {
   config.enable_refresh = false;
   config.channels = channels;
   mem::Hbm hbm(config);
+  std::vector<mem::MemResponse> drained;
   const int n = 512;
   int issued = 0;
   std::uint64_t addr = 0;
@@ -239,7 +240,7 @@ TEST_P(ChannelSweep, StreamingScalesWithChannels) {
       ++issued;
     }
     hbm.tick();
-    hbm.drain_responses();
+    hbm.drain_responses(drained);
     ASSERT_LT(hbm.cycle(), 1000000u);
   }
   const double per_channel_ideal = static_cast<double>(n) / channels;
