@@ -129,6 +129,14 @@ SimResult Engine::run(const AccelInstance& instance, bool record_timeline) {
                        static_cast<std::size_t>(config_.scoreboard_entries));
   }
 
+  // Tokens are partitioned round-robin over the lanes; the table replaces a
+  // division in every response routed.
+  std::vector<std::uint32_t> lane_of(len);
+  for (std::size_t t = 0, l = 0; t < len; ++t) {
+    lane_of[t] = static_cast<std::uint32_t>(l);
+    if (++l == lanes_n) l = 0;
+  }
+
   std::vector<TokenState> tokens(len);
   SimResult result;
   result.kept.assign(len, false);
@@ -148,15 +156,16 @@ SimResult Engine::run(const AccelInstance& instance, bool record_timeline) {
       config_.order == OrderingPolicy::random_order ? &order_rng : nullptr);
   std::vector<std::vector<std::size_t>> lane_first_queue(lanes_n);
   for (const auto token : order) {
-    lane_first_queue[token % lanes_n].push_back(token);
+    lane_first_queue[lane_of[token]].push_back(token);
   }
   std::vector<std::size_t> first_index(lanes_n, 0);  // next token in queue
   std::vector<int> first_granule(lanes_n, 0);        // next granule of it
 
-  // Streaming: global plane-major cursor over all K granules.
-  std::uint64_t stream_cursor = 0;
-  const std::uint64_t total_k_granules =
-      static_cast<std::uint64_t>(len) * num_chunks * gpc;
+  // Streaming: global plane-major cursor (chunk, token, granule) over all K
+  // granules; done once stream_chunk reaches num_chunks.
+  int stream_chunk = 0;
+  std::size_t stream_token = 0;
+  int stream_granule = 0;
 
   // Pending first-chunk insert per lane (keep decision awaiting scoreboard).
   struct PendingInsert {
@@ -166,6 +175,8 @@ SimResult Engine::run(const AccelInstance& instance, bool record_timeline) {
     int next_chunk;
   };
   std::vector<std::optional<PendingInsert>> pending(lanes_n);
+  // First chunks a stalled lane scans past (reused across cycles).
+  std::vector<ReadyChunk> skipped;
 
   std::size_t unresolved = len;
   std::uint64_t k_granules_fetched = 0;
@@ -249,7 +260,7 @@ SimResult Engine::run(const AccelInstance& instance, bool record_timeline) {
   auto step0_done = [&]() -> bool {
     if (estimation) return unresolved == 0;
     // Baseline: every granule fetched and consumed.
-    if (stream_cursor < total_k_granules) return false;
+    if (stream_chunk < num_chunks) return false;
     for (auto& lane : lanes) {
       if (lane.has_ready() || !lane.compute_free(cycle)) return false;
     }
@@ -265,8 +276,9 @@ SimResult Engine::run(const AccelInstance& instance, bool record_timeline) {
       hbm.drain_responses(responses);
       for (const auto& resp : responses) {
         const auto d = decode_id(resp.id);
-        auto& lane = lanes[d.token % lanes_n];
-        --outstanding[d.token % lanes_n];
+        const std::uint32_t lane_idx = lane_of[d.token];
+        auto& lane = lanes[lane_idx];
+        --outstanding[lane_idx];
         if (lane.deliver_granule(d.token, d.chunk, gpc)) {
           emit(cycle, lane.id(), EventKind::arrive, d.token, d.chunk);
         }
@@ -308,7 +320,7 @@ SimResult Engine::run(const AccelInstance& instance, bool record_timeline) {
       } else {
         // Scan the FIFO for a downstream chunk.
         std::size_t scan = 0;
-        std::vector<ReadyChunk> skipped;
+        skipped.clear();
         while (lane.has_ready()) {
           ReadyChunk rc = lane.pop_ready();
           if (rc.chunk > 0) {
@@ -410,19 +422,22 @@ SimResult Engine::run(const AccelInstance& instance, bool record_timeline) {
     } else {
       // Streaming: issue up to pe_lanes granules per core cycle, plane-major.
       for (int slot = 0; slot < config_.pe_lanes; ++slot) {
-        if (stream_cursor >= total_k_granules) break;
-        const std::uint64_t gi = stream_cursor;
-        const int chunk = static_cast<int>(gi / (len * gpc));
-        const std::uint64_t within = gi % (len * gpc);
-        const auto token = static_cast<std::size_t>(within / gpc);
-        const int g = static_cast<int>(within % gpc);
-        if (!hbm.try_enqueue(
-                mem::MemRequest{layout.key_chunk_addr(token, chunk, g),
-                                encode_id(token, false, chunk, g)})) {
+        if (stream_chunk == num_chunks) break;
+        if (!hbm.try_enqueue(mem::MemRequest{
+                layout.key_chunk_addr(stream_token, stream_chunk,
+                                      stream_granule),
+                encode_id(stream_token, false, stream_chunk,
+                          stream_granule)})) {
           break;
         }
-        ++stream_cursor;
         ++k_granules_fetched;
+        if (++stream_granule == gpc) {
+          stream_granule = 0;
+          if (++stream_token == len) {
+            stream_token = 0;
+            ++stream_chunk;
+          }
+        }
       }
     }
 
@@ -448,7 +463,7 @@ SimResult Engine::run(const AccelInstance& instance, bool record_timeline) {
   std::size_t survivor_granules_left = 0;
   for (std::size_t t = 0; t < len; ++t) {
     if (tokens[t].phase == TokenPhase::kept) {
-      lane_value_queue[t % lanes_n].push_back(t);
+      lane_value_queue[lane_of[t]].push_back(t);
       survivor_granules_left += static_cast<std::size_t>(gpv);
     }
   }
@@ -464,7 +479,7 @@ SimResult Engine::run(const AccelInstance& instance, bool record_timeline) {
       hbm.drain_responses(responses);
       for (const auto& resp : responses) {
         const auto d = decode_id(resp.id);
-        auto& lane = lanes[d.token % lanes_n];
+        auto& lane = lanes[lane_of[d.token]];
         if (lane.deliver_granule(d.token, num_chunks, gpv)) {
           emit(cycle, lane.id(), EventKind::value_fetch, d.token, num_chunks);
         }

@@ -13,17 +13,29 @@ KvLayout::KvLayout(const AccelConfig& config, std::uint64_t base_addr,
       granule_bytes_(config.dram.transaction_bytes),
       granules_per_chunk_(config.granules_per_chunk(head_dim)),
       granules_per_value_(config.granules_per_value(head_dim)),
-      num_chunks_(config.quant.num_chunks()),
-      channels_(config.dram.channels),
-      banks_(config.dram.banks_per_channel),
-      columns_per_row_(config.dram.columns_per_row()) {
+      num_chunks_(config.quant.num_chunks()) {
   require(num_tokens > 0, "KvLayout: need at least one token");
   require(base_addr % static_cast<std::uint64_t>(granule_bytes_) == 0,
           "KvLayout: base address must be granule-aligned");
+  granule_shift_ = mem::log2_pow2(granule_bytes_);
+  channel_shift_ = mem::log2_pow2(config.dram.channels);
+  bank_shift_ = mem::log2_pow2(config.dram.banks_per_channel);
+  require(granule_shift_ >= 0 && channel_shift_ >= 0 && bank_shift_ >= 0,
+          "KvLayout: granule, channel and bank counts must be powers of two");
   // Only the K planes interleave in time, so only they split the banks; V
   // streams alone in step 1 and gets every bank (linear mapping above the
   // K region).
-  banks_per_plane_ = std::max(1, banks_ / num_chunks_);
+  banks_per_plane_ = std::max(1, config.dram.banks_per_channel / num_chunks_);
+
+  // The V plane starts above the K planes' span: every K plane's rows,
+  // across all banks and channels.
+  const auto bpp = static_cast<std::uint64_t>(banks_per_plane_);
+  const std::uint64_t group_granules = bpp << channel_shift_;
+  const std::uint64_t plane_granules =
+      num_tokens_ * static_cast<std::uint64_t>(granules_per_chunk_);
+  const std::uint64_t k_rows_per_bank =
+      (plane_granules + group_granules - 1) / group_granules;
+  k_span_granules_ = k_rows_per_bank << (bank_shift_ + channel_shift_);
 }
 
 std::uint64_t KvLayout::plane_addr(int plane, std::uint64_t index) const {
@@ -32,20 +44,22 @@ std::uint64_t KvLayout::plane_addr(int plane, std::uint64_t index) const {
   // the plane's bank group. Must be the inverse shape of Hbm::local_of:
   //   channel = g % channels; g' = g / channels;
   //   bank = g' % banks; column = (g' / banks) % columns; row = rest.
-  const auto channels = static_cast<std::uint64_t>(channels_);
-  const auto banks = static_cast<std::uint64_t>(banks_);
+  // Channels and banks are powers of two; the bank group (5 banks at 3
+  // chunks) is not, so that split stays a division.
   const auto bpp = static_cast<std::uint64_t>(banks_per_plane_);
+  const std::uint64_t bank_mask = (std::uint64_t{1} << bank_shift_) - 1;
 
-  const std::uint64_t channel = index % channels;
-  const std::uint64_t j = index / channels;
+  const std::uint64_t channel =
+      index & ((std::uint64_t{1} << channel_shift_) - 1);
+  const std::uint64_t j = index >> channel_shift_;
   const std::uint64_t bank_in_group = j % bpp;
   const std::uint64_t k = j / bpp;
   const std::uint64_t bank =
-      (static_cast<std::uint64_t>(plane) * bpp + bank_in_group) % banks;
+      (static_cast<std::uint64_t>(plane) * bpp + bank_in_group) & bank_mask;
 
-  const std::uint64_t g_prime = k * banks + bank;
-  const std::uint64_t g = g_prime * channels + channel;
-  return base_ + g * static_cast<std::uint64_t>(granule_bytes_);
+  const std::uint64_t g_prime = (k << bank_shift_) | bank;
+  const std::uint64_t g = (g_prime << channel_shift_) | channel;
+  return base_ + (g << granule_shift_);
 }
 
 std::uint64_t KvLayout::key_chunk_addr(std::size_t token, int chunk,
@@ -66,20 +80,11 @@ std::uint64_t KvLayout::value_addr(std::size_t token, int granule) const {
           "KvLayout: granule out of range");
   // Linear mapping in the address range above the (sparsely stretched) K
   // planes: V streaming uses all channels and banks.
-  const auto channels = static_cast<std::uint64_t>(channels_);
-  const auto banks = static_cast<std::uint64_t>(banks_);
-  const auto bpp = static_cast<std::uint64_t>(banks_per_plane_);
-  const std::uint64_t plane_granules =
-      num_tokens_ * static_cast<std::uint64_t>(granules_per_chunk_);
-  const std::uint64_t k_rows_per_bank =
-      (plane_granules + channels * bpp - 1) / (channels * bpp);
-  const std::uint64_t k_span_granules = k_rows_per_bank * banks * channels;
-
   const std::uint64_t index =
-      k_span_granules +
+      k_span_granules_ +
       token * static_cast<std::uint64_t>(granules_per_value_) +
       static_cast<std::uint64_t>(granule);
-  return base_ + index * static_cast<std::uint64_t>(granule_bytes_);
+  return base_ + (index << granule_shift_);
 }
 
 std::uint64_t KvLayout::region_bytes() const {

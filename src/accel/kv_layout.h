@@ -60,10 +60,12 @@ class KvLayout {
   int granules_per_chunk_;
   int granules_per_value_;
   int num_chunks_;
-  int channels_;
-  int banks_;
-  int columns_per_row_;
+  // log2 of the granule bytes, channel count and banks per channel.
+  int granule_shift_ = 0;
+  int channel_shift_ = 0;
+  int bank_shift_ = 0;
   int banks_per_plane_;
+  std::uint64_t k_span_granules_ = 0;  // granule index where V starts
 };
 
 }  // namespace topick::accel

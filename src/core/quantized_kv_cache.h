@@ -61,24 +61,11 @@ struct QuantizedKvView {
 // through the fixedpoint registry (fixedpoint/dispatch.h): every ISA variant
 // is compiled into the binary from its own translation unit and a one-time
 // CPU probe picks the fastest one the machine supports, so one portable
-// binary gets AVX2/AVX-512 speed without -march=native. Integer dot products
-// have one right answer, so every variant is element-exact against
-// row_dot_i64_scalar — the selected ISA cannot change any pruning decision
-// (tests/dispatch_test.cpp pins this over adversarial int16 extremes and odd
-// remainders at every compiled-in level). Header-inline wrapper: it is
-// called once per (token, chunk); tiny rows take the inlined scalar loop
-// (same bits) rather than paying the indirect call.
-inline std::int64_t row_dot_i64(const std::int16_t* a, const std::int16_t* b,
-                                std::size_t n) {
-  if (n < 16) {
-    std::int64_t acc = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      acc += static_cast<std::int32_t>(a[i]) * static_cast<std::int32_t>(b[i]);
-    }
-    return acc;
-  }
-  return fx::active_kernels().row_dot_i64(a, b, n);
-}
+// binary gets AVX2/AVX-512 speed without -march=native. Every variant is
+// element-exact against row_dot_i64_scalar, so the selected ISA cannot
+// change any pruning decision. The wrapper lives with the registry
+// (fx::row_dot_i64); this is the name the core call sites use.
+using fx::row_dot_i64;
 
 // The scalar reference implementation (always compiled; the equivalence
 // oracle for the SIMD variants). Lives in fx:: with the registry; forwarded

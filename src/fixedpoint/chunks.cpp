@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/require.h"
+#include "fixedpoint/dispatch.h"
 
 namespace topick::fx {
 
@@ -41,21 +42,29 @@ int unknown_bits(int chunks_known, const QuantParams& params) {
   return params.total_bits - known;
 }
 
+namespace {
+
+// The mask partial_value applies: clears the unknown low bits (all ones when
+// every chunk is known). With no chunks known the sign bit is unknown too,
+// so there is no "known prefix" — the mask is zero and the level-0 bracket
+// spans the full representable range (see MarginTable). Masking the
+// sign-extended int16 with the low-bit rule here would leak copies of the
+// sign bit into the partial.
+std::int16_t known_mask(int chunks_known, const QuantParams& params) {
+  const int unknown = unknown_bits(chunks_known, params);
+  if (chunks_known == 0) return 0;
+  return static_cast<std::int16_t>(~((1 << unknown) - 1));
+}
+
+}  // namespace
+
 std::int32_t residual_weight(int chunks_known, const QuantParams& params) {
   return (1 << unknown_bits(chunks_known, params)) - 1;
 }
 
 std::int16_t partial_value(std::int16_t value, int chunks_known,
                            const QuantParams& params) {
-  // With no chunks known the sign bit is unknown too, so there is no "known
-  // prefix" — the partial is zero and the level-0 bracket spans the full
-  // representable range (see MarginTable). Masking the sign-extended int16
-  // here would leak copies of the sign bit into the partial.
-  if (chunks_known == 0) return 0;
-  const int unknown = unknown_bits(chunks_known, params);
-  if (unknown == 0) return value;
-  const auto mask = static_cast<std::int16_t>(~((1 << unknown) - 1));
-  return static_cast<std::int16_t>(value & mask);
+  return static_cast<std::int16_t>(value & known_mask(chunks_known, params));
 }
 
 std::int16_t assemble(const std::vector<std::uint16_t>& chunks,
@@ -91,11 +100,25 @@ std::int64_t partial_dot_i64(const QuantizedVector& q, const QuantizedVector& k,
 std::int64_t chunk_dot_delta_i64(const QuantizedVector& q,
                                  const QuantizedVector& k, int chunk_idx) {
   require(q.values.size() == k.values.size(), "chunk_dot_delta: length mismatch");
+  // partial_value(k, b + 1) - partial_value(k, b) = (k & hi) - (k & lo): the
+  // two level masks are hoisted, the deltas are formed a block at a time on
+  // the stack, and each block goes through the dispatched row_dot_i64. Every
+  // delta fits int16 (the chunk's bits, or k's known prefix for chunk 0).
+  const std::int16_t hi = known_mask(chunk_idx + 1, k.params);
+  const std::int16_t lo = known_mask(chunk_idx, k.params);
+  constexpr std::size_t kBlock = 64;
+  std::int16_t delta[kBlock];
+  const std::int16_t* qv = q.values.data();
+  const std::int16_t* kv = k.values.data();
+  const std::size_t n = k.values.size();
   std::int64_t acc = 0;
-  for (std::size_t d = 0; d < q.values.size(); ++d) {
-    const auto hi = partial_value(k.values[d], chunk_idx + 1, k.params);
-    const auto lo = partial_value(k.values[d], chunk_idx, k.params);
-    acc += static_cast<std::int64_t>(q.values[d]) * (hi - lo);
+  for (std::size_t base = 0; base < n; base += kBlock) {
+    const std::size_t m = std::min(kBlock, n - base);
+    for (std::size_t i = 0; i < m; ++i) {
+      delta[i] = static_cast<std::int16_t>((kv[base + i] & hi) -
+                                           (kv[base + i] & lo));
+    }
+    acc += row_dot_i64(qv + base, delta, m);
   }
   return acc;
 }

@@ -45,7 +45,8 @@ std::int64_t partial_dot_i64(const QuantizedVector& q, const QuantizedVector& k,
 // Incremental form: the contribution of chunk `chunk_idx` of K alone, i.e.
 // partial_dot(b+1) - partial_dot(b). This mirrors the hardware, which
 // multiplies the 12-bit Q against one 4-bit chunk per cycle and accumulates
-// via the scoreboard.
+// via the scoreboard. Runs on the dispatched row_dot_i64 kernel; exact at
+// every ISA level.
 std::int64_t chunk_dot_delta_i64(const QuantizedVector& q,
                                  const QuantizedVector& k, int chunk_idx);
 

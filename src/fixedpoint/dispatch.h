@@ -138,6 +138,27 @@ inline const KernelTable& active_kernels() {
   return *(table != nullptr ? table : detail::init_active());
 }
 
+// Contiguous int16 dot product (int64 accumulator) — the plane-walk kernel
+// of the decode hot path and of the accelerator model's chunk dots. Integer
+// dot products have one right answer, so every variant is element-exact
+// against row_dot_i64_scalar for any input short of a madd pair wrap (two
+// adjacent products both (-32768) * (-32768)), which no quantize()d value
+// can reach: |q| < 2^14 for total_bits <= 15 (tests/dispatch_test.cpp pins
+// adversarial int16 extremes and odd remainders at every compiled-in level).
+// Called once per (token, chunk); tiny rows take the inlined scalar loop
+// (same bits) rather than paying the indirect call.
+inline std::int64_t row_dot_i64(const std::int16_t* a, const std::int16_t* b,
+                                std::size_t n) {
+  if (n < 16) {
+    std::int64_t acc = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      acc += static_cast<std::int32_t>(a[i]) * static_cast<std::int32_t>(b[i]);
+    }
+    return acc;
+  }
+  return active_kernels().row_dot_i64(a, b, n);
+}
+
 // Dispatched max|x| reduction (exact: no rounding, order-independent; the
 // append-path row maxima and choose_scale both ride on it). Tiny rows skip
 // the table — the scalar fold is the same bits.

@@ -64,11 +64,7 @@ std::vector<float> dequantize(const QuantizedVector& v) {
 
 std::int64_t dot_i64(const QuantizedVector& a, const QuantizedVector& b) {
   require(a.values.size() == b.values.size(), "dot_i64: length mismatch");
-  std::int64_t acc = 0;
-  for (std::size_t i = 0; i < a.values.size(); ++i) {
-    acc += static_cast<std::int64_t>(a.values[i]) * b.values[i];
-  }
-  return acc;
+  return row_dot_i64(a.values.data(), b.values.data(), a.values.size());
 }
 
 }  // namespace topick::fx

@@ -63,7 +63,8 @@ QuantizedVector quantize_auto(std::span<const float> xs, int total_bits = 12,
 
 std::vector<float> dequantize(const QuantizedVector& v);
 
-// Exact integer dot product of two quantized vectors (int64 accumulator).
+// Exact integer dot product of two quantized vectors (int64 accumulator),
+// through the dispatched row_dot_i64 (fixedpoint/dispatch.h).
 std::int64_t dot_i64(const QuantizedVector& a, const QuantizedVector& b);
 
 }  // namespace topick::fx

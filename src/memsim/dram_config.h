@@ -6,9 +6,20 @@
 // bus for one clock -> 32 GB/s per channel, 256 GB/s aggregate.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 
 namespace topick::mem {
+
+// log2 of a power of two, -1 for anything else. The address map (Hbm and
+// the accelerator's KV layout) decodes with shifts, so channels,
+// banks_per_channel, transaction_bytes and columns_per_row() must be powers
+// of two.
+inline int log2_pow2(int v) {
+  return v > 0 && std::has_single_bit(static_cast<unsigned>(v))
+             ? std::countr_zero(static_cast<unsigned>(v))
+             : -1;
+}
 
 // Timing parameters in DRAM command-clock cycles (1 ns each), HBM2-class.
 struct DramTiming {

@@ -12,6 +12,14 @@ Hbm::Hbm(const DramConfig& config) : config_(config) {
           "DramConfig: channels/banks must be positive");
   require(config.row_bytes % config.transaction_bytes == 0,
           "DramConfig: row_bytes must be a multiple of the granule");
+  granule_shift_ = log2_pow2(config.transaction_bytes);
+  channel_shift_ = log2_pow2(config.channels);
+  bank_shift_ = log2_pow2(config.banks_per_channel);
+  column_shift_ = log2_pow2(config.columns_per_row());
+  require(granule_shift_ >= 0 && channel_shift_ >= 0 && bank_shift_ >= 0 &&
+              column_shift_ >= 0,
+          "DramConfig: channels, banks_per_channel, transaction_bytes and "
+          "columns_per_row() must be powers of two");
   // Per-channel FIFO retirement relies on every burst lasting >= 1 cycle;
   // an empty queue could never accept a request.
   require(config.timing.t_burst >= 1 && config.queue_depth >= 1,
@@ -21,18 +29,17 @@ Hbm::Hbm(const DramConfig& config) : config_(config) {
 }
 
 int Hbm::channel_of(std::uint64_t addr) const {
-  const std::uint64_t granule = addr / config_.transaction_bytes;
-  return static_cast<int>(granule % static_cast<std::uint64_t>(config_.channels));
+  const std::uint64_t granule = addr >> granule_shift_;
+  return static_cast<int>(granule & ((std::uint64_t{1} << channel_shift_) - 1));
 }
 
 LocalAddr Hbm::local_of(std::uint64_t addr) const {
-  const std::uint64_t granule = addr / config_.transaction_bytes;
-  std::uint64_t g = granule / static_cast<std::uint64_t>(config_.channels);
+  std::uint64_t g = addr >> (granule_shift_ + channel_shift_);
   LocalAddr local;
-  local.bank = g % static_cast<std::uint64_t>(config_.banks_per_channel);
-  g /= static_cast<std::uint64_t>(config_.banks_per_channel);
-  local.column = g % static_cast<std::uint64_t>(config_.columns_per_row());
-  local.row = g / static_cast<std::uint64_t>(config_.columns_per_row());
+  local.bank = g & ((std::uint64_t{1} << bank_shift_) - 1);
+  g >>= bank_shift_;
+  local.column = g & ((std::uint64_t{1} << column_shift_) - 1);
+  local.row = g >> column_shift_;
   return local;
 }
 

@@ -6,6 +6,9 @@
 //   bank    = (g / channels) % banks        streams engage all channels)
 //   column  = (g / channels / banks) % columns_per_row
 //   row     = g / channels / banks / columns_per_row
+// channels, banks_per_channel, transaction_bytes and columns_per_row() must
+// be powers of two (the constructor requires it), so every field decodes
+// with a shift and a mask; tests/memsim_reference.h keeps the division form.
 #pragma once
 
 #include <cstdint>
@@ -114,6 +117,11 @@ class Hbm {
 
  private:
   DramConfig config_;
+  // log2 of transaction_bytes, channels, banks_per_channel, columns_per_row.
+  int granule_shift_ = 0;
+  int channel_shift_ = 0;
+  int bank_shift_ = 0;
+  int column_shift_ = 0;
   std::vector<Channel> channels_;
   std::vector<MemResponse> responses_;
   std::uint64_t cycle_ = 0;

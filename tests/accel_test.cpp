@@ -1,4 +1,5 @@
 #include <array>
+#include <bit>
 #include <cmath>
 #include <set>
 #include <vector>
@@ -401,6 +402,301 @@ TEST(EnergyModelTest, TopickUsesLessEnergyThanBaseline) {
   const auto eb = energy_of(base.run(inst));
   const auto eo = energy_of(ooo.run(inst));
   EXPECT_LT(eo.total_pj(), eb.total_pj());
+}
+
+// ---------- golden values across design points ----------------------------
+//
+// Every simulated output of Engine::run, recorded from the engine as it
+// stood before its request path went division-free and its chunk dots went
+// through the dispatched kernel. Host-side rewrites of the engine, the
+// KV layout, the HBM address decode or the fixed-point dots must reproduce
+// these bit for bit. Cycle counts are kept as numbers; the vectors and stat
+// blocks as FNV-1a digests of their exact bits.
+
+std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xffu;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ull;
+
+struct EngineDigest {
+  std::uint64_t core_cycles;
+  std::uint64_t step0_cycles;
+  std::uint64_t step1_cycles;
+  std::uint64_t kept;
+  std::uint64_t access;
+  std::uint64_t dram;
+  std::uint64_t dram_energy_bits;
+  std::uint64_t lanes;
+  std::uint64_t output;
+  std::uint64_t timeline;
+  std::uint64_t dram_trace;
+};
+
+EngineDigest digest_of(const SimResult& r) {
+  EngineDigest d{};
+  d.core_cycles = r.core_cycles;
+  d.step0_cycles = r.step0_cycles;
+  d.step1_cycles = r.step1_cycles;
+
+  d.kept = fnv1a(kFnvBasis, r.kept.size());
+  for (const bool k : r.kept) d.kept = fnv1a(d.kept, k ? 1 : 0);
+
+  const AccessStats& a = r.access;
+  d.access = kFnvBasis;
+  for (const std::uint64_t v :
+       {a.k_bits_fetched, a.v_bits_fetched, a.k_bits_baseline,
+        a.v_bits_baseline, a.tokens_total, a.tokens_kept}) {
+    d.access = fnv1a(d.access, v);
+  }
+  for (const std::uint64_t v : a.chunk_histogram) d.access = fnv1a(d.access, v);
+
+  const mem::DramStats& s = r.dram;
+  d.dram = kFnvBasis;
+  for (const std::uint64_t v :
+       {s.requests, s.row_hits, s.row_misses, s.activates, s.refreshes,
+        s.bytes_read, s.data_bus_busy_cycles, s.queue_full_stalls,
+        s.fault_stall_cycles}) {
+    d.dram = fnv1a(d.dram, v);
+  }
+  d.dram_energy_bits = std::bit_cast<std::uint64_t>(r.dram_energy_pj);
+
+  d.lanes = kFnvBasis;
+  for (const std::uint64_t v :
+       {r.lane_busy_cycles, r.lane_stall_cycles,
+        static_cast<std::uint64_t>(r.scoreboard_peak),
+        static_cast<std::uint64_t>(r.survivors)}) {
+    d.lanes = fnv1a(d.lanes, v);
+  }
+
+  d.output = fnv1a(kFnvBasis, r.output.size());
+  for (const float x : r.output) {
+    d.output = fnv1a(d.output, std::bit_cast<std::uint32_t>(x));
+  }
+
+  d.timeline = fnv1a(kFnvBasis, r.timeline.size());
+  for (const TimelineEvent& e : r.timeline) {
+    d.timeline = fnv1a(d.timeline, e.cycle);
+    d.timeline = fnv1a(d.timeline, static_cast<std::uint64_t>(e.lane));
+    d.timeline = fnv1a(d.timeline, static_cast<std::uint64_t>(e.kind));
+    d.timeline = fnv1a(d.timeline, e.token);
+    d.timeline = fnv1a(d.timeline, static_cast<std::uint64_t>(e.chunk));
+  }
+
+  d.dram_trace = fnv1a(kFnvBasis, r.dram_trace.size());
+  for (const mem::TraceEntry& e : r.dram_trace) {
+    d.dram_trace = fnv1a(d.dram_trace, e.cycle);
+    d.dram_trace = fnv1a(d.dram_trace, e.addr);
+    d.dram_trace = fnv1a(d.dram_trace, static_cast<std::uint64_t>(e.channel));
+    d.dram_trace = fnv1a(d.dram_trace, e.row_hit ? 1 : 0);
+  }
+  return d;
+}
+
+struct GoldenCase {
+  DesignPoint design;
+  int head_dim;
+  int pe_lanes;            // 12: a lane count that is not a power of two
+  int scoreboard_entries;  // 2: constant scoreboard back-pressure
+  EngineDigest expected;
+};
+
+// 200 tokens per instance, thr 1e-3, refresh off, one instance per head_dim
+// shared by every design point.
+const GoldenCase kGoldenCases[] = {
+    {DesignPoint::baseline, 64, 16, 32,
+     {108, 54, 54, 0xf5e576b78d9a740dull, 0x8f95e6194f379fcdull,
+      0x7e5f45f9444e8b8full, 0x4133b00000000000ull, 0xd6c1f2f449fc29e1ull,
+      0x575709af559e8607ull, 0xb357fa79952b89d6ull, 0xcc797a5011ca3131ull}},
+    {DesignPoint::baseline, 64, 12, 32,
+     {132, 66, 66, 0xf5e576b78d9a740dull, 0x8f95e6194f379fcdull,
+      0x7e5f45f9444e8b8full, 0x4133b00000000000ull, 0xd6c1f2f449fc29e1ull,
+      0x575709af559e8607ull, 0x3c614fb799203fd1ull, 0xe177eb4221f3cc2dull}},
+    {DesignPoint::baseline, 80, 16, 32,
+     {163, 94, 69, 0xf5e576b78d9a740dull, 0xbd8f2fceec153a4dull,
+      0x5288a2cd458245c6ull, 0x413f400000000000ull, 0xc0a3ebb616940050ull,
+      0x5cb445adf6f524cdull, 0xd6913e9bef77ef56ull, 0x108bdbdd5b85027cull}},
+    {DesignPoint::baseline, 80, 12, 32,
+     {204, 118, 86, 0xf5e576b78d9a740dull, 0xbd8f2fceec153a4dull,
+      0x5288a2cd458245c6ull, 0x413f400000000000ull, 0xc0a3ebb616940050ull,
+      0x5cb445adf6f524cdull, 0x6dc659135f789ed6ull, 0xd51cabb51739cf60ull}},
+    {DesignPoint::baseline, 128, 16, 32,
+     {189, 94, 95, 0xf5e576b78d9a740dull, 0x0fae42016f5b0e2dull,
+      0xd666ecd28a83788cull, 0x4142840000000000ull, 0x9aeea541269823baull,
+      0x2b1d0b9bf8b85f23ull, 0xad8ec3420ccc319full, 0x6197fba6ee4bd89eull}},
+    {DesignPoint::baseline, 128, 12, 32,
+     {235, 118, 117, 0xf5e576b78d9a740dull, 0x0fae42016f5b0e2dull,
+      0xd666ecd28a83788cull, 0x4142840000000000ull, 0x9aeea541269823baull,
+      0x2b1d0b9bf8b85f23ull, 0xa23bc419577942b7ull, 0xea955b316a337266ull}},
+    {DesignPoint::topick_kv, 64, 16, 32,
+     {71, 53, 18, 0x80874de450b4084dull, 0xf075ae6b8f6731f1ull,
+      0x29bca32f436d68f7ull, 0x412631eccccccccdull, 0x7a48ca3927d22894ull,
+      0x89114541b82ed0f0ull, 0x57c55123c4cc979dull, 0xd39f948b5756648cull}},
+    {DesignPoint::topick_kv, 64, 12, 32,
+     {80, 62, 18, 0x80874de450b4084dull, 0xf075ae6b8f6731f1ull,
+      0x29bca32f436d68f7ull, 0x412631eccccccccdull, 0x7a48ca3927d22894ull,
+      0x89114541b82ed0f0ull, 0x7b0806927072bbc6ull, 0xecb80bb1c68cd31bull}},
+    {DesignPoint::topick_kv, 80, 16, 32,
+     {113, 91, 22, 0x4e142ada41065b4dull, 0x4098e2c506225134ull,
+      0x171150174faac70cull, 0x4134314000000000ull, 0x7dc51d86c2820aceull,
+      0x34aa4fc5df9be2f9ull, 0xc2b31f84756d93c9ull, 0x419c18cdeca2aef9ull}},
+    {DesignPoint::topick_kv, 80, 12, 32,
+     {131, 109, 22, 0x4e142ada41065b4dull, 0xfd097650a595a252ull,
+      0x171150174faac70cull, 0x4134314000000000ull, 0x9d30754b646ea92cull,
+      0x34aa4fc5df9be2f9ull, 0x1eb4b80e9c3a76f5ull, 0x7ac50d221066c7e9ull}},
+    {DesignPoint::topick_kv, 128, 16, 32,
+     {111, 91, 20, 0x2249b746d5e094acull, 0xb9226ee9ab0bb128ull,
+      0x17acb41a28da731dull, 0x41347eb333333333ull, 0x619cae26e5f1a978ull,
+      0xcaac6d7165b3ae5dull, 0x6e633c0cc78b03d1ull, 0xcb77d94827de80c8ull}},
+    {DesignPoint::topick_kv, 128, 12, 32,
+     {135, 109, 26, 0xa8b8a921186b4a4dull, 0xff91eed6f2cf333bull,
+      0x9f3d5eab40e498fcull, 0x413494e666666667ull, 0xb3c66a5550e736e3ull,
+      0x32eee835b9439243ull, 0xab1dbda0edd3d694ull, 0x0dbf0f555511ce75ull}},
+    {DesignPoint::topick_stalled, 64, 16, 32,
+     {340, 312, 28, 0x12b56c54d80812cdull, 0x90c34e947cce2bd6ull,
+      0x2b192d2e7968e6ebull, 0x41268d3333333333ull, 0x5992428a6da15630ull,
+      0xdfa4a54744ec1459ull, 0x3414c472c2d12e6bull, 0x8fd7253a04a8e93dull}},
+    {DesignPoint::topick_stalled, 64, 16, 2,
+     {340, 312, 28, 0x12b56c54d80812cdull, 0x90c34e947cce2bd6ull,
+      0x2b192d2e7968e6ebull, 0x41268d3333333333ull, 0x5992428a6da15630ull,
+      0xdfa4a54744ec1459ull, 0x3414c472c2d12e6bull, 0x8fd7253a04a8e93dull}},
+    {DesignPoint::topick_stalled, 64, 12, 32,
+     {448, 413, 35, 0xf3ab2df73e27134dull, 0xbcbe5dbe192bef4dull,
+      0xe6edc033a81ad009ull, 0x4127f7cccccccccdull, 0xa46025718a34810bull,
+      0x32a205a91d0b18f8ull, 0x76e3c8277a8c383bull, 0x3d551d1243da28eeull}},
+    {DesignPoint::topick_stalled, 64, 12, 2,
+     {448, 413, 35, 0xf3ab2df73e27134dull, 0xbcbe5dbe192bef4dull,
+      0xe6edc033a81ad009ull, 0x4127f7cccccccccdull, 0xa46025718a34810bull,
+      0x32a205a91d0b18f8ull, 0x76e3c8277a8c383bull, 0x3d551d1243da28eeull}},
+    {DesignPoint::topick_stalled, 80, 16, 32,
+     {561, 536, 25, 0x4e142ada41065b4dull, 0xe21880335115b0e3ull,
+      0x432b5aa44f6cb77aull, 0x412d7f2666666667ull, 0x457e8fc8a92f2a53ull,
+      0x34aa4fc5df9be2f9ull, 0x41faac167592a241ull, 0xdefe5a0eb1403cb7ull}},
+    {DesignPoint::topick_stalled, 80, 16, 2,
+     {561, 536, 25, 0x4e142ada41065b4dull, 0xe21880335115b0e3ull,
+      0x432b5aa44f6cb77aull, 0x412d7f2666666667ull, 0x457e8fc8a92f2a53ull,
+      0x34aa4fc5df9be2f9ull, 0x41faac167592a241ull, 0xdefe5a0eb1403cb7ull}},
+    {DesignPoint::topick_stalled, 80, 12, 32,
+     {714, 692, 22, 0x4e142ada41065b4dull, 0xe21880335115b0e3ull,
+      0x432b5aa44f6cb77aull, 0x412d7f2666666667ull, 0x457e8fc8a92f2a53ull,
+      0x34aa4fc5df9be2f9ull, 0x172606a09aeb242eull, 0xfd3cae74f6289d69ull}},
+    {DesignPoint::topick_stalled, 80, 12, 2,
+     {714, 692, 22, 0x4e142ada41065b4dull, 0xe21880335115b0e3ull,
+      0x432b5aa44f6cb77aull, 0x412d7f2666666667ull, 0x457e8fc8a92f2a53ull,
+      0x34aa4fc5df9be2f9ull, 0x172606a09aeb242eull, 0xfd3cae74f6289d69ull}},
+    {DesignPoint::topick_stalled, 128, 16, 32,
+     {660, 614, 46, 0xbb75e1afbfb0446dull, 0xbb981df59a3937e3ull,
+      0x1905fefb7323d743ull, 0x413564999999999aull, 0x2dea0503f7138049ull,
+      0x6adb4300fc9b04b8ull, 0x427a96585c57dc56ull, 0xd2f7b775eb09f38aull}},
+    {DesignPoint::topick_stalled, 128, 16, 2,
+     {660, 614, 46, 0xbb75e1afbfb0446dull, 0xbb981df59a3937e3ull,
+      0x1905fefb7323d743ull, 0x413564999999999aull, 0x2dea0503f7138049ull,
+      0x6adb4300fc9b04b8ull, 0x427a96585c57dc56ull, 0xd2f7b775eb09f38aull}},
+    {DesignPoint::topick_stalled, 128, 12, 32,
+     {830, 774, 56, 0x393f87b6f239984dull, 0x5e96b14f19fb930bull,
+      0xccd9c841c6ccb554ull, 0x4135e9cccccccccdull, 0x20d4d2084186dc89ull,
+      0xc2265773660b8a3aull, 0x0242802aad90ff6aull, 0xd1685640aafc12c1ull}},
+    {DesignPoint::topick_stalled, 128, 12, 2,
+     {830, 774, 56, 0x393f87b6f239984dull, 0x5e96b14f19fb930bull,
+      0xccd9c841c6ccb554ull, 0x4135e9cccccccccdull, 0x20d4d2084186dc89ull,
+      0xc2265773660b8a3aull, 0x0242802aad90ff6aull, 0xd1685640aafc12c1ull}},
+    {DesignPoint::topick_ooo, 64, 16, 32,
+     {93, 68, 25, 0x4716e36d011ee1cdull, 0x05a5715a0e7f27ffull,
+      0xc05b62a8743b2bafull, 0x4125e30000000000ull, 0xfccf10dfb63d0729ull,
+      0x6c3879c609a75d33ull, 0x7d14fe2dcf97d5bdull, 0xe092650a3dd0b1a2ull}},
+    {DesignPoint::topick_ooo, 64, 16, 2,
+     {163, 138, 25, 0x4716e36d011ee1cdull, 0x0e3c6985b6978836ull,
+      0xc7d7c79208f87059ull, 0x41252a0000000000ull, 0xfd326a986ba0ac99ull,
+      0x6c3879c609a75d33ull, 0x29c6c126b039e5adull, 0x72b4b39bf6eeaf5cull}},
+    {DesignPoint::topick_ooo, 64, 12, 32,
+     {99, 72, 27, 0x4d9437306dc1014dull, 0x8d2c1c72c0ae2697ull,
+      0x2abe50f4620fca52ull, 0x412450eccccccccdull, 0x71ea1690fcef979cull,
+      0x9f7fb25c975e5b39ull, 0xe92bfdd7f4bb8a0dull, 0x0fca0926d0ef1061ull}},
+    {DesignPoint::topick_ooo, 64, 12, 2,
+     {197, 164, 33, 0xf8a8b6adab720acdull, 0x90c34e947cce2bd6ull,
+      0x2b192d2e7968e6ebull, 0x41268d3333333333ull, 0x5be9478b182270e1ull,
+      0xf89ef744e233e9c3ull, 0xd632888fd946219aull, 0xd6496b2794d1a14cull}},
+    {DesignPoint::topick_ooo, 80, 16, 32,
+     {127, 102, 25, 0x4e142ada41065b4dull, 0x46421b66d680153bull,
+      0x6ac6c4d060d30264ull, 0x412d8df333333334ull, 0xce04e2d5743a7884ull,
+      0x34aa4fc5df9be2f9ull, 0x8674f82b621941a9ull, 0xa897091409034986ull}},
+    {DesignPoint::topick_ooo, 80, 16, 2,
+     {167, 142, 25, 0x4e142ada41065b4dull, 0x46421b66d680153bull,
+      0x6ac6c4d060d30264ull, 0x412d8df333333334ull, 0x6427365c002db1f2ull,
+      0x34aa4fc5df9be2f9ull, 0x4df42922e1738e0full, 0xbe39e3feb6279360ull}},
+    {DesignPoint::topick_ooo, 80, 12, 32,
+     {140, 115, 25, 0xbeb3e1996708ebccull, 0x6e8626cdf5543656ull,
+      0xd46efd4611b863ebull, 0x412d9cc000000000ull, 0xcd945219dd3d2447ull,
+      0x5d26408d06fd3e69ull, 0xb9e147b8a6a3667bull, 0xca6f452cb3824a65ull}},
+    {DesignPoint::topick_ooo, 80, 12, 2,
+     {190, 168, 22, 0x4e142ada41065b4dull, 0xe21880335115b0e3ull,
+      0x432b5aa44f6cb77aull, 0x412d7f2666666667ull, 0xe3214000c9d71643ull,
+      0x34aa4fc5df9be2f9ull, 0xa0f796c363259700ull, 0x9dd52dd3b6c6d313ull}},
+    {DesignPoint::topick_ooo, 128, 16, 32,
+     {139, 100, 39, 0xf5b1c5d851e3cbacull, 0x18ef407dc5339561ull,
+      0x82dfb6dba160d136ull, 0x4133a13333333333ull, 0xb0590fafe0ea0778ull,
+      0x7b47e6fcadd03608ull, 0xc6b44cb73f2096abull, 0xbd3aa19db8dd3ed6ull}},
+    {DesignPoint::topick_ooo, 128, 16, 2,
+     {201, 156, 45, 0x1a1e9d701f3688cdull, 0x0c82e642f3cc4679ull,
+      0x9e6361b45cb6a7dfull, 0x4134690000000000ull, 0x1f19077e8e3bc949ull,
+      0xc717ab73c02c5cd0ull, 0x88ab1d22ea70b3e6ull, 0x9d501cabc046fe8eull}},
+    {DesignPoint::topick_ooo, 128, 12, 32,
+     {160, 115, 45, 0x194cd2cde74e9b0cull, 0x74dd0f4448b320d4ull,
+      0x42253c4e0f7d987eull, 0x4134c1cccccccccdull, 0x66c8f2e7c5dba16aull,
+      0x97c738e42d3e62b9ull, 0x3b297839144ef1c2ull, 0xb493172fdd4080d8ull}},
+    {DesignPoint::topick_ooo, 128, 12, 2,
+     {244, 192, 52, 0xc4b369685113270cull, 0x751449614eb60466ull,
+      0x707553c31ee88983ull, 0x4135986666666667ull, 0x14df18b2a41dfe8eull,
+      0xecb7a7bebc7e757eull, 0xe1de41910ab66145ull, 0x74d5c36ab481b0bfull}},
+};
+
+constexpr std::size_t kGoldenTokens = 200;
+
+AccelConfig golden_config(const GoldenCase& c) {
+  AccelConfig config = make_config(c.design, 1e-3);
+  config.pe_lanes = c.pe_lanes;
+  config.scoreboard_entries = c.scoreboard_entries;
+  config.trace_dram = true;
+  return config;
+}
+
+AccelInstance golden_instance(int head_dim) {
+  Rng rng(0x601d + static_cast<std::uint64_t>(head_dim));
+  return make_instance(rng, kGoldenTokens, head_dim);
+}
+
+TEST(EngineTest, GoldenAcrossDesignPoints) {
+  std::uint64_t stalled_lane_cycles = 0;
+  for (const GoldenCase& c : kGoldenCases) {
+    SCOPED_TRACE(testing::Message()
+                 << "design " << static_cast<int>(c.design) << " head_dim "
+                 << c.head_dim << " lanes " << c.pe_lanes << " scoreboard "
+                 << c.scoreboard_entries);
+    Engine engine(golden_config(c));
+    const SimResult r =
+        engine.run(golden_instance(c.head_dim), /*record_timeline=*/true);
+    const EngineDigest got = digest_of(r);
+    const EngineDigest& want = c.expected;
+    EXPECT_EQ(got.core_cycles, want.core_cycles);
+    EXPECT_EQ(got.step0_cycles, want.step0_cycles);
+    EXPECT_EQ(got.step1_cycles, want.step1_cycles);
+    EXPECT_EQ(got.kept, want.kept);
+    EXPECT_EQ(got.access, want.access);
+    EXPECT_EQ(got.dram, want.dram);
+    EXPECT_EQ(got.dram_energy_bits, want.dram_energy_bits);
+    EXPECT_EQ(got.lanes, want.lanes);
+    EXPECT_EQ(got.output, want.output);
+    EXPECT_EQ(got.timeline, want.timeline);
+    EXPECT_EQ(got.dram_trace, want.dram_trace);
+    if (c.scoreboard_entries == 2) stalled_lane_cycles += r.lane_stall_cycles;
+  }
+  // The tiny scoreboard must drive lanes into the stalled scan: a pending
+  // insert, then a search of the ready FIFO for a downstream chunk.
+  EXPECT_GT(stalled_lane_cycles, 0u);
 }
 
 }  // namespace

@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <vector>
@@ -6,6 +7,7 @@
 
 #include "common/rng.h"
 #include "fixedpoint/chunks.h"
+#include "fixedpoint/dispatch.h"
 #include "fixedpoint/margin.h"
 #include "fixedpoint/quant.h"
 
@@ -199,6 +201,123 @@ TEST(Chunks, PartialDotMatchesDeltaPrefixSums) {
   for (int b = 0; b < kv.params.num_chunks(); ++b) {
     acc += chunk_dot_delta_i64(qv, kv, b);
     EXPECT_EQ(acc, partial_dot_i64(qv, kv, b + 1));
+  }
+}
+
+// ---------- chunk dots at every ISA level ----------------------------------
+
+// Restores the kernel selection in force when it was constructed.
+struct IsaRestore {
+  IsaLevel level = kernel_isa_level();
+  bool forced = kernel_isa_forced();
+  ~IsaRestore() {
+    if (forced) {
+      force_isa(level);
+    } else {
+      reset_isa();
+    }
+  }
+};
+
+// The value with its unknown low bits cleared, computed per element without
+// the library's masks: floor(v / 2^unknown) * 2^unknown, and 0 when no chunk
+// is known.
+std::int64_t reference_partial(std::int16_t v, int chunks_known,
+                               const QuantParams& p) {
+  if (chunks_known == 0) return 0;
+  const int unknown =
+      p.total_bits - std::min(chunks_known * p.chunk_bits, p.total_bits);
+  return (static_cast<std::int64_t>(v) >> unknown) << unknown;
+}
+
+std::int64_t reference_chunk_dot(const QuantizedVector& q,
+                                 const QuantizedVector& k, int chunk) {
+  std::int64_t acc = 0;
+  for (std::size_t d = 0; d < q.size(); ++d) {
+    acc += static_cast<std::int64_t>(q.values[d]) *
+           (reference_partial(k.values[d], chunk + 1, k.params) -
+            reference_partial(k.values[d], chunk, k.params));
+  }
+  return acc;
+}
+
+std::int64_t reference_dot(const QuantizedVector& a, const QuantizedVector& b) {
+  std::int64_t acc = 0;
+  for (std::size_t d = 0; d < a.size(); ++d) {
+    acc += static_cast<std::int64_t>(a.values[d]) * b.values[d];
+  }
+  return acc;
+}
+
+// Operand pairs of one format and length: uniform random values, then runs
+// of the extremes (all qmin, qmax against qmin, and alternating runs of
+// both whose boundaries fall at different offsets in q and k).
+std::vector<std::pair<QuantizedVector, QuantizedVector>> extreme_operands(
+    const QuantParams& p, std::size_t n, Rng& rng) {
+  const auto qmin = static_cast<std::int16_t>(p.qmin());
+  const auto qmax = static_cast<std::int16_t>(p.qmax());
+  const auto span = static_cast<std::uint64_t>(p.qmax() - p.qmin() + 1);
+  const auto uniform = [&] {
+    return static_cast<std::int16_t>(
+        p.qmin() + static_cast<std::int32_t>(rng.uniform_index(span)));
+  };
+  std::vector<std::pair<QuantizedVector, QuantizedVector>> out;
+  for (int pattern = 0; pattern < 4; ++pattern) {
+    QuantizedVector q{p, std::vector<std::int16_t>(n)};
+    QuantizedVector k{p, std::vector<std::int16_t>(n)};
+    for (std::size_t d = 0; d < n; ++d) {
+      switch (pattern) {
+        case 0:
+          q.values[d] = uniform();
+          k.values[d] = uniform();
+          break;
+        case 1:
+          q.values[d] = qmin;
+          k.values[d] = qmin;
+          break;
+        case 2:
+          q.values[d] = qmax;
+          k.values[d] = qmin;
+          break;
+        default:
+          q.values[d] = (d / 7) % 2 == 0 ? qmin : qmax;
+          k.values[d] = (d / 5) % 2 == 0 ? qmin : qmax;
+          break;
+      }
+    }
+    out.emplace_back(std::move(q), std::move(k));
+  }
+  return out;
+}
+
+TEST(Chunks, DotsExactAtEveryIsaLevel) {
+  const std::pair<int, int> formats[] = {{12, 4}, {12, 2}, {12, 6},
+                                         {8, 4},  {8, 2},  {6, 2}};
+  const std::size_t lengths[] = {1, 17, 63, 64, 65, 80, 128, 200};
+  const IsaRestore restore;
+  for (const KernelTable* table : supported_kernel_tables()) {
+    ASSERT_TRUE(force_isa(table->level));
+    for (const auto& [total_bits, chunk_bits] : formats) {
+      QuantParams p;
+      p.total_bits = total_bits;
+      p.chunk_bits = chunk_bits;
+      Rng rng(static_cast<std::uint64_t>(total_bits * 16 + chunk_bits));
+      for (const std::size_t n : lengths) {
+        const auto operands = extreme_operands(p, n, rng);
+        for (std::size_t i = 0; i < operands.size(); ++i) {
+          SCOPED_TRACE(testing::Message()
+                       << table->name << " " << total_bits << "/" << chunk_bits
+                       << " n=" << n << " pattern " << i);
+          const auto& [q, k] = operands[i];
+          EXPECT_EQ(dot_i64(q, k), reference_dot(q, k));
+          for (int b = 0; b < p.num_chunks(); ++b) {
+            EXPECT_EQ(chunk_dot_delta_i64(q, k, b),
+                      reference_chunk_dot(q, k, b))
+                << "chunk " << b;
+          }
+        }
+      }
+    }
   }
 }
 

@@ -2,9 +2,9 @@
 // the event-driven src/memsim/ model must reproduce cycle for cycle. Every
 // channel ticks on every cycle; retirement scans the whole in-flight list;
 // the request queue is a std::deque with a middle erase; Channel::replay
-// walks idle gaps one cycle at a time whenever refresh is on. Only the bank
-// state machine (memsim/bank.h) and the config/transaction types are shared
-// with the model under test.
+// walks idle gaps one cycle at a time whenever refresh is on; the address map
+// divides where mem::Hbm shifts. Only the bank state machine (memsim/bank.h)
+// and the config/transaction types are shared with the model under test.
 #pragma once
 
 #include <algorithm>

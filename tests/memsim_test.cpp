@@ -236,6 +236,24 @@ TEST(Hbm, RejectsMisalignedRowConfig) {
   EXPECT_THROW(Hbm{config}, std::logic_error);
 }
 
+// The address map decodes with shifts and masks.
+TEST(Hbm, RejectsNonPowerOfTwoGeometry) {
+  DramConfig six_channels;
+  six_channels.channels = 6;
+  EXPECT_THROW(Hbm{six_channels}, std::logic_error);
+  DramConfig twelve_banks;
+  twelve_banks.banks_per_channel = 12;
+  EXPECT_THROW(Hbm{twelve_banks}, std::logic_error);
+  DramConfig three_columns;
+  three_columns.row_bytes = 96;  // 3 columns of 32 B
+  EXPECT_THROW(Hbm{three_columns}, std::logic_error);
+  DramConfig small;
+  small.channels = 2;
+  small.banks_per_channel = 4;
+  small.row_bytes = 512;
+  EXPECT_NO_THROW(Hbm{small});
+}
+
 // FIFO retirement needs every burst to last >= 1 cycle, and a channel needs
 // room for at least one request.
 TEST(Hbm, RejectsConfigThatBreaksFifoRetirement) {
@@ -446,6 +464,9 @@ struct EquivCase {
   bool refresh;
   int queue_depth;
   bool faults;
+  // 2 channels x 4 banks x 512 B rows instead of 4 x 16 x 1 KiB: the shift
+  // decode checked against the reference's divisions away from the default.
+  bool small_geometry = false;
 };
 
 const EquivCase kEquivCases[] = {
@@ -455,11 +476,18 @@ const EquivCase kEquivCases[] = {
     {"refresh_off_faults", false, 16, true},
     {"queue_depth_1_refresh_on_faults", true, 1, true},
     {"queue_depth_1_refresh_off", false, 1, false},
+    {"small_geometry_refresh_on_faults", true, 16, true, true},
+    {"small_geometry_refresh_off", false, 16, false, true},
 };
 
 DramConfig equiv_config(const EquivCase& c) {
   DramConfig config;
   config.channels = 4;
+  if (c.small_geometry) {
+    config.channels = 2;
+    config.banks_per_channel = 4;
+    config.row_bytes = 512;
+  }
   config.enable_refresh = c.refresh;
   config.queue_depth = c.queue_depth;
   config.timing.t_refi = 700;  // many refreshes in a short run
@@ -600,6 +628,27 @@ void run_serial_equivalence(const EquivCase& c, std::uint64_t seed,
   }
   if (c.faults) {
     EXPECT_GT(hbm.stats().fault_stall_cycles, 0u);
+  }
+}
+
+// The shift decode against the reference's divisions, every field — the
+// column too, which no timing rule reads.
+TEST(ReferenceModel, AddressDecodeMatchesDivision) {
+  for (const EquivCase& c : kEquivCases) {
+    SCOPED_TRACE(c.name);
+    const DramConfig config = equiv_config(c);
+    const Hbm hbm(config);
+    const reference::Hbm ref(config);
+    Rng rng(7);
+    for (int i = 0; i < 4096; ++i) {
+      const std::uint64_t addr = rng.uniform_index(std::uint64_t{1} << 40);
+      ASSERT_EQ(hbm.channel_of(addr), ref.channel_of(addr)) << addr;
+      const LocalAddr got = hbm.local_of(addr);
+      const LocalAddr want = ref.local_of(addr);
+      ASSERT_EQ(got.bank, want.bank) << addr;
+      ASSERT_EQ(got.column, want.column) << addr;
+      ASSERT_EQ(got.row, want.row) << addr;
+    }
   }
 }
 
