@@ -11,8 +11,8 @@
 //     O(len * head_dim) x3 per instance per step;
 //   * cached — the post-PR path: QuantizedKvCache::append() quantizes the new
 //     token once, attention walks contiguous chunk planes allocation-free
-//     with the oracle off (row_dot_i64 compiles to AVX2/NEON under
-//     -DTOPICK_NATIVE_ARCH=ON), and reclamation evicts cache entries
+//     with the oracle off (row_dot_i64 dispatches at runtime to the best
+//     kernel the CPU supports), and reclamation evicts cache entries
 //     coherently — O(kept * head_dim) per instance per step. The cached
 //     harness mirrors ServeEngine's phased step: sequential paged appends,
 //     a parallel attention phase fanned over the (layer, head) instances via
@@ -25,9 +25,9 @@
 // whether TOPICK_FORCE_ISA forced it — forced numbers must never read as a
 // host's natural selection), a threads sweep, and a full-engine --pipeline
 // on|off comparison: the same Poisson trace through the fork-join executor
-// and the pipelined executor (sharded channel replay on), outputs
-// bit-checked, with before/after phase attribution. `--smoke` runs a small
-// context for CI; `--threads a,b,c` overrides the sweep (default 1,2,8);
+// and the pipelined executor, outputs and DRAM cycle stamps bit-checked,
+// with before/after phase attribution. `--smoke` runs a small context for
+// CI; `--threads a,b,c` overrides the sweep (default 1,2,8);
 // `--isa-levels` prints the kernel levels this binary + CPU can run (one
 // per line, for CI forced-ISA matrix loops) and exits. The default scenario
 // is the 2k context the acceptance criteria target.
@@ -407,12 +407,12 @@ RunResult run_cached(const Scenario& s, const wl::DecodeStream& stream,
 
 // Engine-backed executor comparison and phase attribution: the same
 // multi-request Poisson trace through the real ServeEngine under both
-// executors — fork-join (pipeline off) and the pipelined step with sharded
-// channel replay (pipeline on). Phase stats show where each spends host
-// time: per-worker attention compute vs barrier wait (the fork-join tax
-// ROADMAP item 3 targets) vs memsim replay vs the sequential phases — and,
-// pipelined, how much reduction overlapped the fan-out and how much
-// replay moved onto the lane thread.
+// executors — fork-join (pipeline off) and the pipelined step (pipeline
+// on). Phase stats show where each spends host time: per-worker attention
+// compute vs barrier wait (the fork-join tax ROADMAP item 3 targets) vs
+// memsim replay vs the sequential phases — and, pipelined, how much
+// reduction overlapped the fan-out and how much replay moved onto the lane
+// thread.
 serve::ServeConfig engine_config(std::size_t threads, bool pipeline) {
   serve::ServeConfig config;
   config.n_layer = 2;
@@ -428,7 +428,6 @@ serve::ServeConfig engine_config(std::size_t threads, bool pipeline) {
   config.collect_phase_stats = true;
   config.simulate_dram = true;
   config.pipeline = pipeline;
-  config.shard_replay = pipeline;
   return config;
 }
 
@@ -468,23 +467,13 @@ EngineRun run_engine(const serve::ServeConfig& config, bool smoke) {
 // (untimed — capture allocates per step, so the timed runs stay comparable
 // with earlier committed numbers), comparing every request's schedule,
 // traffic, and every element of every step's attention output and token
-// sets. `check_cycles` additionally demands identical DRAM cycle stamps —
-// valid only when the sharded replay is reconcilable with the serial one
-// (refresh off, queues never fill); under interference the contract is
-// "outputs never differ, cycles may".
-bool executors_bit_identical(bool smoke, std::size_t threads,
-                             bool no_interference) {
+// sets, and every request's DRAM cycle stamps (both executors drive the
+// same serial replay, so the cycles must match too).
+bool executors_bit_identical(bool smoke, std::size_t threads) {
   serve::ServeConfig seq = engine_config(threads, /*pipeline=*/false);
   serve::ServeConfig pipe = engine_config(threads, /*pipeline=*/true);
   seq.capture_outputs = true;
   pipe.capture_outputs = true;
-  if (no_interference) {
-    for (auto* c : {&seq, &pipe}) {
-      c->dram.enable_refresh = false;
-      c->dram.queue_depth = 64;
-    }
-  }
-  const bool check_cycles = no_interference;
   serve::ServeEngine a(seq);
   serve::ServeEngine b(pipe);
   a.submit_trace(engine_trace(smoke));
@@ -502,11 +491,10 @@ bool executors_bit_identical(bool smoke, std::size_t threads,
         ra.prefill_bits != rb.prefill_bits) {
       return false;
     }
-    if (check_cycles &&
-        (ra.dram_cycles != rb.dram_cycles ||
-         ra.arrival_cycle != rb.arrival_cycle ||
-         ra.first_token_cycle != rb.first_token_cycle ||
-         ra.finish_cycle != rb.finish_cycle)) {
+    if (ra.dram_cycles != rb.dram_cycles ||
+        ra.arrival_cycle != rb.arrival_cycle ||
+        ra.first_token_cycle != rb.first_token_cycle ||
+        ra.finish_cycle != rb.finish_cycle) {
       return false;
     }
     if (ra.outputs.size() != rb.outputs.size()) return false;
@@ -708,23 +696,14 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(cached[best].rescales));
 
   // Full-engine executor comparison at the sweep's widest fan-out: the same
-  // trace through the fork-join step and the pipelined step (+ sharded
-  // replay), best-of-N each, with a separate full-fidelity bit-check.
+  // trace through the fork-join step and the pipelined step, best-of-N
+  // each, with a separate full-fidelity bit-check.
   const std::size_t phase_threads =
       *std::max_element(thread_sweep.begin(), thread_sweep.end());
-  if (!executors_bit_identical(smoke, phase_threads,
-                               /*no_interference=*/false)) {
+  if (!executors_bit_identical(smoke, phase_threads)) {
     std::fprintf(stderr,
-                 "FATAL: pipelined executor output diverges from sequential "
-                 "at threads=%zu\n",
-                 phase_threads);
-    return 1;
-  }
-  if (!executors_bit_identical(smoke, phase_threads,
-                               /*no_interference=*/true)) {
-    std::fprintf(stderr,
-                 "FATAL: sharded replay cycles diverge from serial replay in "
-                 "the no-interference config at threads=%zu\n",
+                 "FATAL: pipelined executor outputs or DRAM cycles diverge "
+                 "from sequential at threads=%zu\n",
                  phase_threads);
     return 1;
   }
@@ -749,7 +728,7 @@ int main(int argc, char** argv) {
       seq_run.tokens_per_s, 100.0 * seq_split.compute_frac,
       100.0 * seq_split.barrier_frac, 100.0 * seq_split.replay_frac_of_step);
   std::printf(
-      "  engine --pipeline on  (sharded replay, threads=%zu, %llu steps): "
+      "  engine --pipeline on  (pipelined, threads=%zu, %llu steps): "
       "%8.1f tok/s  %.2fx; compute %.0f%% / barrier %.0f%% / overlapped "
       "reduce %.0f%% of fan-out capacity; replay off the step wall "
       "(lane busy %.3f ms, lane wait %.3f ms)\n",
@@ -761,32 +740,6 @@ int main(int argc, char** argv) {
       static_cast<double>(pipe_run.phases.lane_wait_ns) * 1e-6);
   std::printf("  executors bit-identical on the same trace: yes\n");
 
-  // Serial vs sharded memsim replay under the pipelined executor at every
-  // sweep width, best-of-N each: the evidence for keeping or deleting the
-  // sharded replay now that the serial replay is event-driven.
-  std::vector<EngineRun> serial_replay(thread_sweep.size());
-  std::vector<EngineRun> sharded_replay(thread_sweep.size());
-  for (std::size_t ti = 0; ti < thread_sweep.size(); ++ti) {
-    for (int r = 0; r < scenario.repeats; ++r) {
-      serve::ServeConfig config = engine_config(thread_sweep[ti], true);
-      config.shard_replay = false;
-      const EngineRun serial = run_engine(config, smoke);
-      const EngineRun sharded =
-          run_engine(engine_config(thread_sweep[ti], true), smoke);
-      if (r == 0 || serial.tokens_per_s > serial_replay[ti].tokens_per_s) {
-        serial_replay[ti] = serial;
-      }
-      if (r == 0 || sharded.tokens_per_s > sharded_replay[ti].tokens_per_s) {
-        sharded_replay[ti] = sharded;
-      }
-    }
-    std::printf("  engine --pipeline on, threads=%zu: serial replay %8.1f "
-                "tok/s, sharded replay %8.1f tok/s (%.2fx)\n",
-                thread_sweep[ti], serial_replay[ti].tokens_per_s,
-                sharded_replay[ti].tokens_per_s,
-                sharded_replay[ti].tokens_per_s /
-                    serial_replay[ti].tokens_per_s);
-  }
   if (!trace_path.empty() &&
       !write_engine_trace(smoke, phase_threads, trace_path)) {
     return 1;
@@ -871,21 +824,10 @@ int main(int argc, char** argv) {
       out,
       "  \"pipeline_comparison\": {\"threads\": %zu, "
       "\"sequential_tokens_per_s\": %.2f, \"pipelined_tokens_per_s\": %.2f, "
-      "\"pipelined_speedup\": %.2f, \"sharded_replay\": true, "
+      "\"pipelined_speedup\": %.2f, "
       "\"outputs_bit_identical\": true},\n",
       phase_threads, seq_run.tokens_per_s, pipe_run.tokens_per_s,
       pipeline_speedup);
-  std::fprintf(out, "  \"replay_comparison\": [");
-  for (std::size_t ti = 0; ti < thread_sweep.size(); ++ti) {
-    std::fprintf(out,
-                 "%s{\"threads\": %zu, \"pipeline\": true, "
-                 "\"serial_replay_tokens_per_s\": %.2f, "
-                 "\"sharded_replay_tokens_per_s\": %.2f}",
-                 ti == 0 ? "" : ", ", thread_sweep[ti],
-                 serial_replay[ti].tokens_per_s,
-                 sharded_replay[ti].tokens_per_s);
-  }
-  std::fprintf(out, "],\n");
   write_phase_attribution(out, "phase_attribution_sequential",
                           seq_run.phases, phase_threads);
   write_phase_attribution(out, "phase_attribution", pipe_run.phases,

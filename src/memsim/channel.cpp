@@ -131,40 +131,4 @@ void Channel::issue(std::uint64_t now, std::vector<TraceEntry>* trace) {
   in_flight_.push_back(InFlight{qr.request, burst_start + burst_cycles});
 }
 
-std::uint64_t Channel::replay(const std::vector<TimedArrival>& arrivals,
-                              std::uint64_t start,
-                              std::vector<MemResponse>& done,
-                              std::vector<TraceEntry>* trace) {
-  std::uint64_t now = start;
-  std::size_t next = 0;
-  while (next < arrivals.size() || pending() > 0) {
-    // Jump to the next channel event or arrival. An arrival already due is
-    // only still waiting because the queue is full; it stays blocked (one
-    // queue-full stall per cycle) until the next event frees a slot.
-    const bool due = next < arrivals.size() && arrivals[next].arrival <= now;
-    std::uint64_t target = next_event(now);
-    if (next < arrivals.size() && !due) {
-      target = std::min(target, arrivals[next].arrival);
-    } else if (due && can_accept()) {
-      target = now;
-    }
-    if (target > now) {
-      skip_to(now, target);
-      if (due) stats_.queue_full_stalls += target - now;
-      now = target;
-    }
-    while (next < arrivals.size() && arrivals[next].arrival <= now) {
-      if (!can_accept()) {
-        ++stats_.queue_full_stalls;
-        break;
-      }
-      enqueue(arrivals[next].request, arrivals[next].local);
-      ++next;
-    }
-    tick(now, done, trace);
-    ++now;
-  }
-  return now;
-}
-
 }  // namespace topick::mem

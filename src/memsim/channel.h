@@ -19,14 +19,6 @@ struct LocalAddr {
   std::uint64_t column = 0;
 };
 
-// One transaction of a pre-scheduled per-channel arrival stream (the sharded
-// replay's input; see Channel::replay).
-struct TimedArrival {
-  MemRequest request;
-  LocalAddr local;
-  std::uint64_t arrival = 0;  // absolute DRAM cycle the request arrives
-};
-
 class Channel {
  public:
   explicit Channel(const DramConfig& config);
@@ -58,30 +50,14 @@ class Channel {
   // `target` afterwards is cycle-exact with ticking every skipped cycle.
   void skip_to(std::uint64_t now, std::uint64_t target);
 
-  // Self-clocked replay of a pre-scheduled arrival stream: each entry is
-  // enqueued once its arrival cycle passes (and queue space allows — a full
-  // queue delays it and bumps stats().queue_full_stalls once per blocked
-  // cycle), then the channel runs its own clock until every transaction
-  // retires. Quiet stretches between arrivals are jumped over with
-  // next_event()/skip_to(), refresh on or off. Starts no earlier than
-  // `start`, returns the cycle after the last tick. `arrivals` must be
-  // sorted by arrival cycle; same-channel transaction order is preserved
-  // exactly (FIFO into the queue in `arrivals` order). With refresh off and
-  // zero stalls this is cycle-exact vs. driving the same arrivals through
-  // the global serial tick loop, because the serial loop couples channels
-  // only through enqueue backpressure.
-  std::uint64_t replay(const std::vector<TimedArrival>& arrivals,
-                       std::uint64_t start, std::vector<MemResponse>& done,
-                       std::vector<TraceEntry>* trace = nullptr);
-
   std::size_t pending() const { return queue_.size() + in_flight_.size(); }
   const DramStats& stats() const { return stats_; }
 
   // Fault injection (src/fault/): a non-null fault degrades this channel —
   // stretched bursts and/or periodic issue-stall windows, handled inside
-  // tick() so the serial driver, replay(), and Hbm::replay_sharded all see
-  // identical behavior. The pointee must outlive the channel's use; nullptr
-  // (the default) restores bit-identical healthy behavior.
+  // tick() and accounted in bulk by skip_to(). The pointee must outlive the
+  // channel's use; nullptr (the default) restores bit-identical healthy
+  // behavior.
   void set_fault(const ChannelFault* fault) {
     fault_ = fault;
     wake_ = 0;

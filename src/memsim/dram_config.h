@@ -54,7 +54,8 @@ struct DramEnergy {
 //   * periodic stall windows: within every `stall_period` cycles the first
 //     `stall_cycles` block new command issue (in-flight bursts still drain),
 //     modelling transient controller hiccups. Window phase is absolute-cycle
-//     arithmetic, so serial tick and self-clocked replay agree exactly.
+//     arithmetic, so ticking every cycle and jumping with skip_to() agree
+//     exactly.
 struct ChannelFault {
   double burst_multiplier = 1.0;
   std::uint64_t stall_period = 0;  // 0 = no stall windows

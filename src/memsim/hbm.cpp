@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/parallel.h"
 #include "common/require.h"
 
 namespace topick::mem {
@@ -76,49 +75,6 @@ void Hbm::advance_to_next_event(std::uint64_t limit) {
   cycle_ = target;
 }
 
-std::uint64_t Hbm::replay_sharded(const std::vector<TimedRequest>& schedule,
-                                  ThreadPool* pool) {
-  const std::size_t n_ch = channels_.size();
-  // Partition by channel, preserving order: `schedule` is sorted by arrival
-  // cycle, so each channel's slice is too, and same-channel transactions
-  // keep their relative order through the FIFO replay queue.
-  std::vector<std::vector<TimedArrival>> per_channel(n_ch);
-  for (const TimedRequest& tr : schedule) {
-    const auto c = static_cast<std::size_t>(channel_of(tr.request.addr));
-    per_channel[c].push_back(
-        TimedArrival{tr.request, local_of(tr.request.addr), tr.arrival});
-  }
-
-  const std::uint64_t start = cycle_;
-  std::vector<std::uint64_t> end(n_ch, start);
-  std::vector<std::vector<MemResponse>> done(n_ch);
-  std::vector<std::vector<TraceEntry>> traces(n_ch);
-  const auto replay_one = [&](std::size_t c, std::size_t) {
-    if (per_channel[c].empty()) return;
-    end[c] = channels_[c].replay(per_channel[c], start, done[c],
-                                 trace_enabled_ ? &traces[c] : nullptr);
-  };
-  if (pool != nullptr) {
-    pool->parallel_for(n_ch, replay_one);
-  } else {
-    for (std::size_t c = 0; c < n_ch; ++c) replay_one(c, 0);
-  }
-
-  // Deterministic merge, channel-major: responses in channel order (callers
-  // reduce per-id with max, so cross-channel order is immaterial), trace
-  // entries stamped with their channel, the clock advanced to the slowest
-  // channel's end cycle.
-  for (std::size_t c = 0; c < n_ch; ++c) {
-    responses_.insert(responses_.end(), done[c].begin(), done[c].end());
-    for (TraceEntry& entry : traces[c]) {
-      entry.channel = static_cast<int>(c);
-      trace_.push_back(entry);
-    }
-    cycle_ = std::max(cycle_, end[c]);
-  }
-  return cycle_;
-}
-
 std::string Hbm::trace_csv() const {
   std::string out = "cycle,channel,addr,row_hit\n";
   for (const auto& entry : trace_) {
@@ -151,7 +107,6 @@ DramStats Hbm::stats() const {
     total.refreshes += s.refreshes;
     total.bytes_read += s.bytes_read;
     total.data_bus_busy_cycles += s.data_bus_busy_cycles;
-    total.queue_full_stalls += s.queue_full_stalls;
     total.fault_stall_cycles += s.fault_stall_cycles;
   }
   return total;

@@ -19,18 +19,7 @@
 #include "memsim/dram_config.h"
 #include "memsim/types.h"
 
-namespace topick {
-class ThreadPool;
-}
-
 namespace topick::mem {
-
-// One entry of a pre-scheduled replay: a transaction plus the absolute DRAM
-// cycle it arrives at the controller (Hbm::replay_sharded input).
-struct TimedRequest {
-  MemRequest request;
-  std::uint64_t arrival = 0;
-};
 
 class Hbm {
  public:
@@ -56,27 +45,6 @@ class Hbm {
   // cycle-exact with ticking through the gap. A caller that would enqueue
   // or observe inside the gap caps `limit` at that cycle.
   void advance_to_next_event(std::uint64_t limit);
-
-  // Sharded replay: partitions `schedule` (sorted by arrival cycle) per
-  // channel and replays each channel independently on its own clock — in
-  // parallel across host threads when `pool` is given — instead of driving
-  // one global serial tick loop. Responses land in drain_responses(), trace
-  // entries are merged per channel, and cycle() advances to the latest
-  // channel's end cycle. Results are bit-identical for any `pool` width.
-  //
-  // Each channel's replay is event-driven (Channel::replay), so idle gaps
-  // between arrivals cost nothing, refresh on or off.
-  //
-  // Cycle reconciliation contract: with enable_refresh off and zero
-  // queue_full_stalls, per-request finish cycles, per-channel stats, and the
-  // end cycle all match the serial driver exactly (the serial loop couples
-  // channels only through enqueue backpressure and the globally shared
-  // refresh clock). Under queue pressure the sharded model intentionally
-  // drops the serial driver's cross-channel head-of-line coupling: a full
-  // queue delays only that channel's stream, modelling per-channel
-  // interference instead of a single global stall.
-  std::uint64_t replay_sharded(const std::vector<TimedRequest>& schedule,
-                               ThreadPool* pool = nullptr);
 
   // Moves the responses completed since the last drain into `out`,
   // replacing its contents (any order across channels). `out`'s storage

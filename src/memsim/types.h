@@ -32,10 +32,6 @@ struct DramStats {
   std::uint64_t refreshes = 0;
   std::uint64_t bytes_read = 0;
   std::uint64_t data_bus_busy_cycles = 0;  // summed over channels
-  // Sharded-replay only: cycles a due arrival sat blocked on a full channel
-  // queue. Zero certifies the no-interference condition under which the
-  // sharded replay is cycle-exact vs the serial driver (see Hbm::replay_sharded).
-  std::uint64_t queue_full_stalls = 0;
   // Cycles an injected ChannelFault stall window blocked command issue while
   // work was queued (fault layer only; always zero without a fault plan).
   std::uint64_t fault_stall_cycles = 0;

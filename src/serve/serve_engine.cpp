@@ -245,6 +245,9 @@ ServeEngine::ServeEngine(const ServeConfig& config)
               config.picker.order != OrderingPolicy::random_order,
           "ServeConfig: random_order draws from a shared RNG stream and is "
           "not reproducible across thread counts; use threads = 1");
+  require(!config.shard_replay,
+          "ServeConfig: shard_replay was removed; the serial replay is the "
+          "only DRAM replay driver");
   config_.stream.head_dim = config.head_dim;
   // The oracle pass is an O(context) diagnostic per attention instance; the
   // engine's hot loop must stay O(kept). Outputs/decisions are unaffected.
@@ -263,13 +266,6 @@ ServeEngine::ServeEngine(const ServeConfig& config)
   workspaces_.reserve(workers_.threads());
   for (std::size_t w = 0; w < workers_.threads(); ++w) {
     workspaces_.push_back(std::make_unique<Workspace>(config_.picker));
-  }
-  // The sharded replay runs on the lane thread in pipelined mode, so it gets
-  // its own small pool — a lane job must never re-enter the pool the main
-  // thread is dispatching attention through.
-  if (config_.shard_replay && config_.simulate_dram) {
-    replay_pool_ = std::make_unique<ThreadPool>(
-        static_cast<std::size_t>(config_.dram.channels));
   }
   // Observability taps: one trace track per worker thread (lock-free
   // recording in the parallel phase), one more for the lane's cycle-domain
@@ -1256,110 +1252,68 @@ void ServeEngine::simulate_step_dram(const std::vector<StepXfer>& active) {
     total_granules += remaining[i];
   }
 
-  if (config_.shard_replay) {
-    // Sharded path: build the analytic arrival schedule the serial driver
-    // below would produce absent backpressure — transfer i's granule k
-    // arrives at cycle start + k, transfers in index order within a cycle —
-    // and hand it to the per-channel replay. Partitioning a schedule sorted
-    // this way preserves same-channel order, so with refresh off and no
-    // queue-full stalls the result is cycle-exact vs. the serial driver
-    // (asserted by tests/memsim_test.cpp).
-    std::vector<mem::TimedRequest> schedule;
-    schedule.reserve(static_cast<std::size_t>(total_granules));
-    std::uint64_t max_granules = 0;
-    for (const std::uint64_t r : remaining) {
-      max_granules = std::max(max_granules, r);
+  std::uint64_t total_remaining = total_granules;
+
+  // Per-channel occupancy sampling cadence (cycle-domain counter tracks).
+  // A replay window is typically a few thousand cycles; 64-cycle sampling
+  // keeps the queue/in-flight shape visible without bloating the trace.
+  constexpr std::uint64_t kChannelSampleCycles = 64;
+  static constexpr const char* kChannelKeys[8] = {
+      "ch0", "ch1", "ch2", "ch3", "ch4", "ch5", "ch6", "ch7"};
+
+  while (total_remaining > 0 || hbm_.pending() > 0) {
+    if (total_remaining == 0) {
+      // Drain tail: every granule is queued, so jump the clock over quiet
+      // cycles — never past the next channel_pending sample cycle, so the
+      // samples land where the per-cycle loop put them.
+      std::uint64_t limit = UINT64_MAX;
+      if (trace_ != nullptr) {
+        const std::uint64_t phase =
+            (hbm_.cycle() - start) % kChannelSampleCycles;
+        limit = hbm_.cycle() + (phase == 0 ? 0 : kChannelSampleCycles - phase);
+      }
+      hbm_.advance_to_next_event(limit);
     }
-    for (std::uint64_t k = 0; k < max_granules; ++k) {
-      for (std::size_t i = 0; i < active.size(); ++i) {
-        if (remaining[i] <= k) continue;
-        const std::size_t request = active[i].request;
-        mem::MemRequest mreq;
-        mreq.addr = dram_layout::stream_addr(request,
-                                             dram_offset_[request] + k,
-                                             granule);
-        require(mreq.addr >= dram_layout::region_base(request) &&
-                    mreq.addr < dram_layout::region_base(request) +
-                                    dram_layout::kRegionBytes,
-                "ServeEngine: stream address escaped its request region");
-        mreq.id = i;
-        schedule.push_back(mem::TimedRequest{mreq, start + k});
+    for (std::size_t i = 0; i < active.size() && total_remaining > 0; ++i) {
+      if (remaining[i] == 0) continue;
+      const std::size_t request = active[i].request;
+      mem::MemRequest mreq;
+      mreq.addr =
+          dram_layout::stream_addr(request, dram_offset_[request], granule);
+      require(mreq.addr >= dram_layout::region_base(request) &&
+                  mreq.addr < dram_layout::region_base(request) +
+                                  dram_layout::kRegionBytes,
+              "ServeEngine: stream address escaped its request region");
+      mreq.id = i;
+      if (hbm_.try_enqueue(mreq)) {
+        --remaining[i];
+        --total_remaining;
+        ++dram_offset_[request];
       }
     }
-    for (std::size_t i = 0; i < active.size(); ++i) {
-      dram_offset_[active[i].request] += remaining[i];
-    }
-    hbm_.replay_sharded(schedule, replay_pool_.get());
+    hbm_.tick();
     hbm_.drain_responses(dram_responses_);
     for (const auto& resp : dram_responses_) {
       finish[resp.id] = std::max(finish[resp.id], resp.ready_cycle);
     }
-  } else {
-    std::uint64_t total_remaining = total_granules;
-
-    // Per-channel occupancy sampling cadence (cycle-domain counter tracks).
-    // A replay window is typically a few thousand cycles; 64-cycle sampling
-    // keeps the queue/in-flight shape visible without bloating the trace.
-    // Serial driver only: the sharded channels run on decoupled clocks, so a
-    // global same-cycle occupancy snapshot has no meaning there.
-    constexpr std::uint64_t kChannelSampleCycles = 64;
-    static constexpr const char* kChannelKeys[8] = {
-        "ch0", "ch1", "ch2", "ch3", "ch4", "ch5", "ch6", "ch7"};
-
-    while (total_remaining > 0 || hbm_.pending() > 0) {
-      if (total_remaining == 0) {
-        // Drain tail: every granule is queued, so jump the clock over quiet
-        // cycles — never past the next channel_pending sample cycle, so the
-        // samples land where the per-cycle loop put them.
-        std::uint64_t limit = UINT64_MAX;
-        if (trace_ != nullptr) {
-          const std::uint64_t phase =
-              (hbm_.cycle() - start) % kChannelSampleCycles;
-          limit = hbm_.cycle() + (phase == 0 ? 0 : kChannelSampleCycles - phase);
-        }
-        hbm_.advance_to_next_event(limit);
+    if (trace_ != nullptr &&
+        (hbm_.cycle() - start) % kChannelSampleCycles == 1) {
+      // Sampled at cycle 1 of the window (so even short replays get one
+      // loaded-state sample) and every kChannelSampleCycles after.
+      obs::TraceEvent e;
+      e.name = "channel_pending";
+      e.cat = "memsim";
+      e.phase = 'C';
+      e.domain = obs::TraceDomain::memsim;
+      e.ts = hbm_.cycle();
+      const std::size_t n_ch =
+          std::min<std::size_t>(hbm_.channel_count(),
+                                obs::TraceEvent::kMaxArgs);
+      for (std::size_t c = 0; c < n_ch; ++c) {
+        e.arg(kChannelKeys[c],
+              static_cast<double>(hbm_.channel(c).pending()));
       }
-      for (std::size_t i = 0; i < active.size() && total_remaining > 0; ++i) {
-        if (remaining[i] == 0) continue;
-        const std::size_t request = active[i].request;
-        mem::MemRequest mreq;
-        mreq.addr =
-            dram_layout::stream_addr(request, dram_offset_[request], granule);
-        require(mreq.addr >= dram_layout::region_base(request) &&
-                    mreq.addr < dram_layout::region_base(request) +
-                                    dram_layout::kRegionBytes,
-                "ServeEngine: stream address escaped its request region");
-        mreq.id = i;
-        if (hbm_.try_enqueue(mreq)) {
-          --remaining[i];
-          --total_remaining;
-          ++dram_offset_[request];
-        }
-      }
-      hbm_.tick();
-      hbm_.drain_responses(dram_responses_);
-      for (const auto& resp : dram_responses_) {
-        finish[resp.id] = std::max(finish[resp.id], resp.ready_cycle);
-      }
-      if (trace_ != nullptr &&
-          (hbm_.cycle() - start) % kChannelSampleCycles == 1) {
-        // Sampled at cycle 1 of the window (so even short replays get one
-        // loaded-state sample) and every kChannelSampleCycles after.
-        obs::TraceEvent e;
-        e.name = "channel_pending";
-        e.cat = "memsim";
-        e.phase = 'C';
-        e.domain = obs::TraceDomain::memsim;
-        e.ts = hbm_.cycle();
-        const std::size_t n_ch =
-            std::min<std::size_t>(hbm_.channel_count(),
-                                  obs::TraceEvent::kMaxArgs);
-        for (std::size_t c = 0; c < n_ch; ++c) {
-          e.arg(kChannelKeys[c],
-                static_cast<double>(hbm_.channel(c).pending()));
-        }
-        trace_->record(lane_track(), e);
-      }
+      trace_->record(lane_track(), e);
     }
   }
 
@@ -1387,7 +1341,6 @@ void ServeEngine::simulate_step_dram(const std::vector<StepXfer>& active) {
     e.dur = hbm_.cycle() - start;
     e.arg("transfers", static_cast<double>(active.size()));
     e.arg("granules", static_cast<double>(total_granules));
-    e.arg("sharded", config_.shard_replay ? 1.0 : 0.0);
     trace_->record(lane_track(), e);
   }
 }

@@ -166,13 +166,8 @@ struct ServeConfig {
   // mid-flight from another thread.
   bool pipeline = false;
 
-  // Shard the memsim replay per channel (Hbm::replay_sharded): channels run
-  // independently — in parallel on host threads — fed by the analytic
-  // arrival schedule the serial driver would produce absent backpressure.
-  // Cycle-exact vs. the serial driver whenever refresh is off and no channel
-  // queue fills (DramStats::queue_full_stalls == 0); under queue pressure it
-  // models per-channel interference instead of the serial driver's global
-  // head-of-line stall, so cycle numbers may differ (outputs never do).
+  // Must stay false (the constructor rejects true); kept only so perfbench
+  // still builds.
   bool shard_replay = false;
 
   // Chunked prefill: prompt (or preemption-replay) tokens appended per
@@ -622,10 +617,6 @@ class ServeEngine {
   // handshake that lets reduction overlap the fan-out without a barrier.
   std::unique_ptr<std::atomic<std::uint32_t>[]> units_left_;
   std::size_t units_left_cap_ = 0;
-  // Worker pool for the sharded channel replay (shard_replay only). Separate
-  // from workers_: the replay runs on the lane thread in pipelined mode, and
-  // a lane job must not re-enter the pool the main thread is dispatching.
-  std::unique_ptr<ThreadPool> replay_pool_;
   // Cross-step cycle-domain lane (pipelined mode; disabled otherwise). Lane
   // jobs touch hbm_, dram_offset_, the requests' cycle stamps, and the
   // metrics' latency samples — all members above — so the lane is declared

@@ -457,9 +457,11 @@ EngineDigest digest_of(const SimResult& r) {
 
   const mem::DramStats& s = r.dram;
   d.dram = kFnvBasis;
+  // The 0 fills the slot of a since-removed DramStats counter (always 0
+  // here) so the recorded digests below stay valid.
   for (const std::uint64_t v :
        {s.requests, s.row_hits, s.row_misses, s.activates, s.refreshes,
-        s.bytes_read, s.data_bus_busy_cycles, s.queue_full_stalls,
+        s.bytes_read, s.data_bus_busy_cycles, std::uint64_t{0},
         s.fault_stall_cycles}) {
     d.dram = fnv1a(d.dram, v);
   }

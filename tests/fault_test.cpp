@@ -435,20 +435,6 @@ TEST(ServeEngineFaults, ActiveFaultPlanReplaysBitIdentically) {
       expect_runs_identical(reference, rerun);
     }
   }
-
-  // Sharded replay with a degraded channel: deterministic run over run (the
-  // cycle-exactness contract vs the serial driver needs queue_full_stalls ==
-  // 0 and is not asserted here — determinism is).
-  ServeConfig sharded_config = reference_config;
-  sharded_config.shard_replay = true;
-  sharded_config.dram.queue_depth = 64;
-  ServeEngine sharded_a(sharded_config);
-  sharded_a.submit_trace(trace);
-  sharded_a.run();
-  ServeEngine sharded_b(sharded_config);
-  sharded_b.submit_trace(trace);
-  sharded_b.run();
-  expect_runs_identical(sharded_a, sharded_b);
 }
 
 // Satellite regression: a request aborted *mid-prefill* must release its

@@ -1,8 +1,7 @@
 // Test-only reference model of the HBM2 replay: the plain per-cycle clock
 // the event-driven src/memsim/ model must reproduce cycle for cycle. Every
 // channel ticks on every cycle; retirement scans the whole in-flight list;
-// the request queue is a std::deque with a middle erase; Channel::replay
-// walks idle gaps one cycle at a time whenever refresh is on; the address map
+// the request queue is a std::deque with a middle erase; the address map
 // divides where mem::Hbm shifts. Only the bank state machine (memsim/bank.h)
 // and the config/transaction types are shared with the model under test.
 #pragma once
@@ -96,32 +95,6 @@ class Channel {
     }
     in_flight_.push_back(InFlight{qr.request, burst_start + burst_cycles});
     queue_.erase(queue_.begin() + static_cast<long>(pick));
-  }
-
-  std::uint64_t replay(const std::vector<TimedArrival>& arrivals,
-                       std::uint64_t start, std::vector<MemResponse>& done,
-                       std::vector<TraceEntry>* trace = nullptr) {
-    std::uint64_t now = start;
-    std::size_t next = 0;
-    while (next < arrivals.size() || pending() > 0) {
-      // Idle gaps are skipped only with refresh off; with it on, every
-      // cycle of the gap ticks.
-      if (pending() == 0 && next < arrivals.size() &&
-          arrivals[next].arrival > now && !config_->enable_refresh) {
-        now = arrivals[next].arrival;
-      }
-      while (next < arrivals.size() && arrivals[next].arrival <= now) {
-        if (!can_accept()) {
-          ++stats_.queue_full_stalls;
-          break;
-        }
-        enqueue(arrivals[next].request, arrivals[next].local);
-        ++next;
-      }
-      tick(now, done, trace);
-      ++now;
-    }
-    return now;
   }
 
   std::size_t pending() const { return queue_.size() + in_flight_.size(); }

@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/parallel.h"
 #include "common/rng.h"
 #include "memsim/hbm.h"
 #include "memsim_reference.h"
@@ -289,163 +288,6 @@ TEST(Hbm, TraceRecordsEveryCommittedTransaction) {
   EXPECT_NE(csv.find("cycle,channel,addr,row_hit"), std::string::npos);
 }
 
-// The engine's analytic streaming schedule: `sources` regions, one granule
-// per source per cycle starting at `start`, sources in index order within a
-// cycle — exactly what ServeEngine::simulate_step_dram builds.
-std::vector<TimedRequest> streaming_schedule(std::size_t sources,
-                                             std::uint64_t granules_each,
-                                             std::uint64_t start = 0) {
-  std::vector<TimedRequest> schedule;
-  for (std::uint64_t k = 0; k < granules_each; ++k) {
-    for (std::size_t i = 0; i < sources; ++i) {
-      MemRequest request;
-      request.addr = (static_cast<std::uint64_t>(i) + 1) * (1ull << 26) +
-                     k * 32;
-      request.id = i;
-      schedule.push_back(TimedRequest{request, start + k});
-    }
-  }
-  return schedule;
-}
-
-// Drives the serial global tick loop the way the engine's non-sharded replay
-// does: enqueue everything due this cycle, tick, collect responses.
-std::vector<MemResponse> drive_serial(Hbm& hbm,
-                                      const std::vector<TimedRequest>& sched) {
-  std::vector<MemResponse> done;
-  std::size_t next = 0;
-  while (next < sched.size() || !hbm.idle()) {
-    while (next < sched.size() && sched[next].arrival <= hbm.cycle()) {
-      if (!hbm.try_enqueue(sched[next].request)) break;  // retry next cycle
-      ++next;
-    }
-    hbm.tick();
-    for (auto& r : drain(hbm)) done.push_back(r);
-  }
-  return done;
-}
-
-void expect_channel_stats_equal(const Hbm& a, const Hbm& b) {
-  ASSERT_EQ(a.channel_count(), b.channel_count());
-  for (std::size_t c = 0; c < a.channel_count(); ++c) {
-    SCOPED_TRACE(c);
-    const DramStats& sa = a.channel(c).stats();
-    const DramStats& sb = b.channel(c).stats();
-    EXPECT_EQ(sa.requests, sb.requests);
-    EXPECT_EQ(sa.row_hits, sb.row_hits);
-    EXPECT_EQ(sa.row_misses, sb.row_misses);
-    EXPECT_EQ(sa.activates, sb.activates);
-    EXPECT_EQ(sa.bytes_read, sb.bytes_read);
-    EXPECT_EQ(sa.data_bus_busy_cycles, sb.data_bus_busy_cycles);
-  }
-}
-
-// Sharded-replay reconciliation contract: refresh off and zero queue-full
-// stalls ==> the per-channel self-clocked replay matches the serial global
-// tick loop exactly — end cycle, per-request finish cycles, and per-channel
-// stats (the certifying condition the engine tests rely on).
-TEST(ShardedReplay, CycleExactVsSerialDriverWithoutInterference) {
-  const auto schedule = streaming_schedule(/*sources=*/3, /*granules_each=*/40);
-
-  Hbm serial(no_refresh_config());
-  const auto serial_done = drive_serial(serial, schedule);
-
-  Hbm sharded(no_refresh_config());
-  const std::uint64_t end = sharded.replay_sharded(schedule);
-  const auto sharded_done = drain(sharded);
-
-  EXPECT_EQ(sharded.stats().queue_full_stalls, 0u)
-      << "no-interference precondition violated";
-  EXPECT_EQ(end, serial.cycle());
-  EXPECT_EQ(sharded.cycle(), serial.cycle());
-
-  // Per-source last-granule finish cycles — the quantity the engine turns
-  // into latency samples.
-  ASSERT_EQ(sharded_done.size(), serial_done.size());
-  std::vector<std::uint64_t> serial_last(3, 0);
-  std::vector<std::uint64_t> sharded_last(3, 0);
-  for (const auto& r : serial_done) {
-    serial_last[r.id] = std::max(serial_last[r.id], r.ready_cycle);
-  }
-  for (const auto& r : sharded_done) {
-    sharded_last[r.id] = std::max(sharded_last[r.id], r.ready_cycle);
-  }
-  EXPECT_EQ(sharded_last, serial_last);
-
-  expect_channel_stats_equal(sharded, serial);
-}
-
-// Thread identity: the per-channel replays are independent, so running them
-// on a pool must be bit-identical to running them sequentially.
-TEST(ShardedReplay, PoolWidthNeverChangesResults) {
-  const auto schedule = streaming_schedule(/*sources=*/4, /*granules_each=*/32);
-
-  Hbm lone(no_refresh_config());
-  lone.enable_trace(true);
-  lone.replay_sharded(schedule, nullptr);
-  const auto lone_done = drain(lone);
-
-  ThreadPool pool(4);
-  Hbm pooled(no_refresh_config());
-  pooled.enable_trace(true);
-  pooled.replay_sharded(schedule, &pool);
-  const auto pooled_done = drain(pooled);
-
-  EXPECT_EQ(pooled.cycle(), lone.cycle());
-  ASSERT_EQ(pooled_done.size(), lone_done.size());
-  for (std::size_t i = 0; i < lone_done.size(); ++i) {
-    EXPECT_EQ(pooled_done[i].id, lone_done[i].id);
-    EXPECT_EQ(pooled_done[i].ready_cycle, lone_done[i].ready_cycle);
-  }
-  ASSERT_EQ(pooled.trace().size(), lone.trace().size());
-  for (std::size_t i = 0; i < lone.trace().size(); ++i) {
-    EXPECT_EQ(pooled.trace()[i].cycle, lone.trace()[i].cycle);
-    EXPECT_EQ(pooled.trace()[i].addr, lone.trace()[i].addr);
-    EXPECT_EQ(pooled.trace()[i].channel, lone.trace()[i].channel);
-  }
-  expect_channel_stats_equal(pooled, lone);
-}
-
-// Order-preservation property: with queue_depth 1 every commit is strictly
-// FIFO per channel, so each channel's committed address sequence must equal
-// the schedule's same-channel subsequence — partitioning never reorders
-// same-channel transactions, even while the shallow queue forces stalls
-// (the interference path the serial driver models differently).
-TEST(ShardedReplay, SameChannelOrderPreservedUnderQueuePressure) {
-  DramConfig config = no_refresh_config();
-  config.queue_depth = 1;
-  Hbm hbm(config);
-  hbm.enable_trace(true);
-
-  // Deterministic pseudo-random schedule: bursts of same-cycle arrivals
-  // hopping rows so row-policy reordering would be visible if it leaked
-  // through the FIFO.
-  std::vector<TimedRequest> schedule;
-  std::uint64_t lcg = 12345;
-  for (std::uint64_t k = 0; k < 160; ++k) {
-    lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
-    MemRequest request;
-    request.addr = ((lcg >> 16) % 4096) * 32;
-    request.id = k;
-    schedule.push_back(TimedRequest{request, k / 4});  // 4 arrivals per cycle
-  }
-  hbm.replay_sharded(schedule);
-
-  EXPECT_GT(hbm.stats().queue_full_stalls, 0u)
-      << "scenario must actually exercise backpressure";
-  ASSERT_EQ(hbm.trace().size(), schedule.size());
-  std::vector<std::vector<std::uint64_t>> expected(hbm.channel_count());
-  for (const auto& tr : schedule) {
-    expected[static_cast<std::size_t>(hbm.channel_of(tr.request.addr))]
-        .push_back(tr.request.addr);
-  }
-  std::vector<std::vector<std::uint64_t>> committed(hbm.channel_count());
-  for (const auto& entry : hbm.trace()) {
-    committed[static_cast<std::size_t>(entry.channel)].push_back(entry.addr);
-  }
-  EXPECT_EQ(committed, expected);
-}
-
 TEST(Hbm, TraceDisabledByDefault) {
   Hbm hbm(no_refresh_config());
   ASSERT_TRUE(hbm.try_enqueue(MemRequest{0, 0}));
@@ -508,6 +350,12 @@ std::vector<ChannelFault> equiv_faults() {
   return faults;
 }
 
+// A transaction plus the absolute DRAM cycle it arrives at the controller.
+struct TimedRequest {
+  MemRequest request;
+  std::uint64_t arrival = 0;
+};
+
 // Alternating busy bursts and quiet gaps; sequential streams mixed with
 // random addresses so rows both hit and conflict.
 std::vector<TimedRequest> random_plan(std::uint64_t seed) {
@@ -553,7 +401,6 @@ void expect_stats_identical(const DramStats& a, const DramStats& b) {
   EXPECT_EQ(a.refreshes, b.refreshes);
   EXPECT_EQ(a.bytes_read, b.bytes_read);
   EXPECT_EQ(a.data_bus_busy_cycles, b.data_bus_busy_cycles);
-  EXPECT_EQ(a.queue_full_stalls, b.queue_full_stalls);
   EXPECT_EQ(a.fault_stall_cycles, b.fault_stall_cycles);
 }
 
@@ -666,58 +513,6 @@ TEST(ReferenceModel, ClockJumpMatchesCycleByCycle) {
     for (std::uint64_t seed = 1; seed <= 3; ++seed) {
       SCOPED_TRACE(testing::Message() << c.name << " seed " << seed);
       run_serial_equivalence(c, seed, /*jump=*/true);
-    }
-  }
-}
-
-// Channel::replay jumps over idle gaps with refresh on; the reference ticks
-// through them. Two back-to-back replays on one channel, the second starting
-// several refresh intervals after the first ended, also cover refreshes
-// that fall due while the channel's clock was not running.
-TEST(ReferenceModel, ChannelReplayMatchesWithRefreshOn) {
-  const std::vector<ChannelFault> faults = equiv_faults();
-  for (const EquivCase& c : kEquivCases) {
-    if (!c.refresh) continue;
-    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-      SCOPED_TRACE(testing::Message() << c.name << " seed " << seed);
-      const DramConfig config = equiv_config(c);
-      const Hbm map(config);
-      Channel channel(config);
-      reference::Channel ref(config);
-      if (c.faults) {
-        channel.set_fault(&faults[1]);
-        ref.set_fault(&faults[1]);
-      }
-      std::uint64_t start = 0;
-      std::uint64_t ref_start = 0;
-      for (int pass = 0; pass < 2; ++pass) {
-        std::vector<TimedArrival> arrivals;
-        for (const TimedRequest& tr : random_plan(seed * 10 + pass)) {
-          arrivals.push_back(TimedArrival{
-              tr.request, map.local_of(tr.request.addr), start + tr.arrival});
-        }
-        std::vector<MemResponse> done;
-        std::vector<MemResponse> ref_done;
-        std::vector<TraceEntry> trace;
-        std::vector<TraceEntry> ref_trace;
-        const std::uint64_t end = channel.replay(arrivals, start, done, &trace);
-        const std::uint64_t ref_end =
-            ref.replay(arrivals, ref_start, ref_done, &ref_trace);
-        EXPECT_EQ(end, ref_end);
-        EXPECT_EQ(as_pairs(done), as_pairs(ref_done));
-        expect_traces_identical(trace, ref_trace);
-        expect_stats_identical(channel.stats(), ref.stats());
-        EXPECT_EQ(channel.pending(), 0u);
-        start = end + 5 * static_cast<std::uint64_t>(config.timing.t_refi);
-        ref_start = start;
-      }
-      EXPECT_GT(channel.stats().refreshes, 0u);
-      if (c.queue_depth == 1) {
-        EXPECT_GT(channel.stats().queue_full_stalls, 0u);
-      }
-      if (c.faults) {
-        EXPECT_GT(channel.stats().fault_stall_cycles, 0u);
-      }
     }
   }
 }

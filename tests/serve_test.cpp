@@ -723,6 +723,22 @@ TEST(ServeEngine, ZeroDecodeLenRetiresAtArrivalWithoutTraffic) {
   EXPECT_EQ(metrics.tokens_generated, 4u);
 }
 
+// The serial replay is the only DRAM driver: ServeConfig::shard_replay
+// survives only for source compatibility, and asking for it is rejected.
+TEST(ServeEngine, RejectsShardedReplay) {
+  ServeConfig config = acceptance_config();
+  config.shard_replay = true;
+  EXPECT_THROW(ServeEngine{config}, std::logic_error);
+
+  config.shard_replay = false;
+  Rng rng(7);
+  ServeEngine engine(config);
+  engine.submit_trace(concurrent_trace(2, rng, 4, 8, 2, 4));
+  engine.run();
+  EXPECT_EQ(engine.metrics().requests_retired, 2u);
+  EXPECT_GT(engine.metrics().dram_cycles, 0u);
+}
+
 TEST(ServeEngine, CapturedViewTokensReflectPostReclaimLiveness) {
   // With persistence_window = 1 a token pruned this step is reclaimed this
   // step, so the post-reclaim live set must equal the kept set exactly. The
