@@ -195,6 +195,17 @@ struct Scenario {
   int repeats = 3;
 };
 
+// Min and max of one tok/s figure over its repeats, printed and emitted
+// beside the best so a single run's window noise is visible.
+struct Spread {
+  double min = 0.0;
+  double max = 0.0;
+  void add(double v, bool first) {
+    min = first ? v : std::min(min, v);
+    max = first ? v : std::max(max, v);
+  }
+};
+
 struct RunResult {
   double seconds = 0.0;
   double tokens_per_s = 0.0;
@@ -663,9 +674,12 @@ int main(int argc, char** argv) {
   // every thread count, must be bit-identical to the legacy reference.
   RunResult legacy;
   std::vector<RunResult> cached(thread_sweep.size());
+  Spread legacy_spread;
+  std::vector<Spread> cached_spread(thread_sweep.size());
   for (int r = 0; r < scenario.repeats; ++r) {
     const RunResult l = run_legacy(scenario, stream);
     if (r == 0 || l.tokens_per_s > legacy.tokens_per_s) legacy = l;
+    legacy_spread.add(l.tokens_per_s, r == 0);
     for (std::size_t ti = 0; ti < thread_sweep.size(); ++ti) {
       const RunResult c = run_cached(scenario, stream, thread_sweep[ti]);
       if (c.checksum != l.checksum) {
@@ -675,18 +689,23 @@ int main(int argc, char** argv) {
         return 1;
       }
       if (r == 0 || c.tokens_per_s > cached[ti].tokens_per_s) cached[ti] = c;
+      cached_spread[ti].add(c.tokens_per_s, r == 0);
     }
   }
 
   std::printf("  legacy (gather + quantize-from-scratch + oracle): "
-              "%8.1f tok/s  (%.3f s)\n",
-              legacy.tokens_per_s, legacy.seconds);
+              "%8.1f tok/s  (%.3f s)  [min %.1f, max %.1f of %d]\n",
+              legacy.tokens_per_s, legacy.seconds, legacy_spread.min,
+              legacy_spread.max, scenario.repeats);
   std::size_t best = 0;
   for (std::size_t ti = 0; ti < thread_sweep.size(); ++ti) {
-    std::printf("  cached threads=%zu: %8.1f tok/s  (%.3f s)  %.1fx\n",
+    std::printf("  cached threads=%zu: %8.1f tok/s  (%.3f s)  %.1fx  "
+                "[min %.1f, max %.1f of %d]\n",
                 thread_sweep[ti], cached[ti].tokens_per_s,
                 cached[ti].seconds,
-                cached[ti].tokens_per_s / legacy.tokens_per_s);
+                cached[ti].tokens_per_s / legacy.tokens_per_s,
+                cached_spread[ti].min, cached_spread[ti].max,
+                scenario.repeats);
     if (cached[ti].tokens_per_s > cached[best].tokens_per_s) best = ti;
   }
   const double speedup = cached[best].tokens_per_s / legacy.tokens_per_s;
@@ -708,6 +727,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   EngineRun seq_run, pipe_run;
+  Spread seq_spread, pipe_spread;
   for (int r = 0; r < scenario.repeats; ++r) {
     const EngineRun s =
         run_engine(engine_config(phase_threads, false), smoke);
@@ -715,6 +735,8 @@ int main(int argc, char** argv) {
         run_engine(engine_config(phase_threads, true), smoke);
     if (r == 0 || s.tokens_per_s > seq_run.tokens_per_s) seq_run = s;
     if (r == 0 || p.tokens_per_s > pipe_run.tokens_per_s) pipe_run = p;
+    seq_spread.add(s.tokens_per_s, r == 0);
+    pipe_spread.add(p.tokens_per_s, r == 0);
   }
   const double pipeline_speedup =
       pipe_run.tokens_per_s / seq_run.tokens_per_s;
@@ -722,18 +744,22 @@ int main(int argc, char** argv) {
   const FanoutSplit pipe_split = fanout_split(pipe_run.phases);
   std::printf(
       "  engine --pipeline off (fork-join, threads=%zu, %llu steps): "
-      "%8.1f tok/s; compute %.0f%% / barrier %.0f%% of fan-out capacity; "
+      "%8.1f tok/s [min %.1f, max %.1f]; compute %.0f%% / barrier %.0f%% of "
+      "fan-out capacity; "
       "replay %.0f%% of step wall\n",
       phase_threads, static_cast<unsigned long long>(seq_run.phases.steps),
-      seq_run.tokens_per_s, 100.0 * seq_split.compute_frac,
+      seq_run.tokens_per_s, seq_spread.min, seq_spread.max,
+      100.0 * seq_split.compute_frac,
       100.0 * seq_split.barrier_frac, 100.0 * seq_split.replay_frac_of_step);
   std::printf(
       "  engine --pipeline on  (pipelined, threads=%zu, %llu steps): "
-      "%8.1f tok/s  %.2fx; compute %.0f%% / barrier %.0f%% / overlapped "
+      "%8.1f tok/s [min %.1f, max %.1f]  %.2fx; compute %.0f%% / barrier "
+      "%.0f%% / overlapped "
       "reduce %.0f%% of fan-out capacity; replay off the step wall "
       "(lane busy %.3f ms, lane wait %.3f ms)\n",
       phase_threads, static_cast<unsigned long long>(pipe_run.phases.steps),
-      pipe_run.tokens_per_s, pipeline_speedup,
+      pipe_run.tokens_per_s, pipe_spread.min, pipe_spread.max,
+      pipeline_speedup,
       100.0 * pipe_split.compute_frac, 100.0 * pipe_split.barrier_frac,
       100.0 * pipe_split.reduce_overlap_frac,
       static_cast<double>(pipe_run.phases.lane_busy_ns) * 1e-6,
@@ -772,16 +798,30 @@ int main(int argc, char** argv) {
   // overhead only; real overlap needs >= 2.
   std::fprintf(out, "  \"host_hardware_threads\": %u,\n",
                std::thread::hardware_concurrency());
+  // Every tok/s figure is the best of `repeats` runs; its *_min / *_max
+  // siblings give the spread over those runs.
+  std::fprintf(out, "  \"repeats\": %d,\n", scenario.repeats);
   std::fprintf(out, "  \"legacy_tokens_per_s\": %.2f,\n",
                legacy.tokens_per_s);
+  std::fprintf(out,
+               "  \"legacy_tokens_per_s_min\": %.2f,\n"
+               "  \"legacy_tokens_per_s_max\": %.2f,\n",
+               legacy_spread.min, legacy_spread.max);
   std::fprintf(out, "  \"cached_tokens_per_s\": %.2f,\n",
                cached[best].tokens_per_s);
+  std::fprintf(out,
+               "  \"cached_tokens_per_s_min\": %.2f,\n"
+               "  \"cached_tokens_per_s_max\": %.2f,\n",
+               cached_spread[best].min, cached_spread[best].max);
   std::fprintf(out, "  \"cached_best_threads\": %zu,\n", thread_sweep[best]);
   std::fprintf(out, "  \"threads_sweep\": [");
   for (std::size_t ti = 0; ti < thread_sweep.size(); ++ti) {
-    std::fprintf(out, "%s{\"threads\": %zu, \"tokens_per_s\": %.2f}",
+    std::fprintf(out,
+                 "%s{\"threads\": %zu, \"tokens_per_s\": %.2f, "
+                 "\"tokens_per_s_min\": %.2f, \"tokens_per_s_max\": %.2f}",
                  ti == 0 ? "" : ", ", thread_sweep[ti],
-                 cached[ti].tokens_per_s);
+                 cached[ti].tokens_per_s, cached_spread[ti].min,
+                 cached_spread[ti].max);
   }
   std::fprintf(out, "],\n");
   std::fprintf(out, "  \"speedup\": %.2f,\n", speedup);
@@ -824,9 +864,14 @@ int main(int argc, char** argv) {
       out,
       "  \"pipeline_comparison\": {\"threads\": %zu, "
       "\"sequential_tokens_per_s\": %.2f, \"pipelined_tokens_per_s\": %.2f, "
+      "\"sequential_tokens_per_s_min\": %.2f, "
+      "\"sequential_tokens_per_s_max\": %.2f, "
+      "\"pipelined_tokens_per_s_min\": %.2f, "
+      "\"pipelined_tokens_per_s_max\": %.2f, "
       "\"pipelined_speedup\": %.2f, "
       "\"outputs_bit_identical\": true},\n",
       phase_threads, seq_run.tokens_per_s, pipe_run.tokens_per_s,
+      seq_spread.min, seq_spread.max, pipe_spread.min, pipe_spread.max,
       pipeline_speedup);
   write_phase_attribution(out, "phase_attribution_sequential",
                           seq_run.phases, phase_threads);

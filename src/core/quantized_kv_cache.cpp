@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
-#include <memory>
-#include <mutex>
 #include <utility>
 
 #include "common/expsum.h"
@@ -43,49 +40,12 @@ const char* row_dot_kernel_name() { return fx::kernel_isa_name(); }
 
 // ---- QuantizedKvStore -------------------------------------------------------
 
-namespace {
-
-// Builds (or returns the cached) chunk-plane delta table for a bit layout.
-// One table per (total_bits, chunk_bits) process-wide — it is immutable
-// after construction, so concurrent stores can all read it. The mutex only
-// guards the build-once map (reset-time, never the row hot path).
-const std::vector<std::vector<std::int16_t>>* shared_plane_lut(
-    const fx::QuantParams& kp) {
-  static std::mutex mutex;
-  static std::map<std::pair<int, int>,
-                  std::unique_ptr<const std::vector<std::vector<std::int16_t>>>>
-      cache;
-  std::lock_guard<std::mutex> lock(mutex);
-  auto& entry = cache[{kp.total_bits, kp.chunk_bits}];
-  if (!entry) {
-    const std::size_t domain =
-        static_cast<std::size_t>(kp.qmax() - kp.qmin() + 1);
-    std::vector<std::vector<std::int16_t>> lut(
-        static_cast<std::size_t>(kp.num_chunks()),
-        std::vector<std::int16_t>(domain));
-    for (int b = 0; b < kp.num_chunks(); ++b) {
-      for (std::size_t i = 0; i < domain; ++i) {
-        const auto q = static_cast<std::int16_t>(
-            kp.qmin() + static_cast<std::int32_t>(i));
-        lut[static_cast<std::size_t>(b)][i] = static_cast<std::int16_t>(
-            fx::partial_value(q, b + 1, kp) - fx::partial_value(q, b, kp));
-      }
-    }
-    entry = std::make_unique<const std::vector<std::vector<std::int16_t>>>(
-        std::move(lut));
-  }
-  return entry.get();
-}
-
-}  // namespace
-
 void QuantizedKvStore::reset(const fx::QuantParams& kp,
                              const fx::QuantParams& vp, std::size_t dim) {
   key_params = kp;
   value_params = vp;
   head_dim = dim;
   key_planes.resize(static_cast<std::size_t>(kp.num_chunks()));
-  plane_lut = shared_plane_lut(kp);
   clear_rows();
 }
 
@@ -96,25 +56,24 @@ void QuantizedKvStore::clear_rows() {
   for (auto& plane : key_planes) plane.clear();
 }
 
-void QuantizedKvStore::push_row(const std::int16_t* k_row,
-                                const std::int16_t* v_row) {
-  keys.insert(keys.end(), k_row, k_row + head_dim);
-  values.insert(values.end(), v_row, v_row + head_dim);
-  const int num_chunks = key_params.num_chunks();
-  const std::int32_t qmin = key_params.qmin();
-  for (int b = 0; b < num_chunks; ++b) {
-    auto& plane = key_planes[static_cast<std::size_t>(b)];
-    const std::size_t base = plane.size();
-    plane.resize(base + head_dim);
-    // The chunk's contribution to the partial dot: non-negative low bits
-    // for b > 0, the signed prefix for b == 0 (see fixedpoint/chunks.h) —
-    // precomputed per quantized value in plane_lut.
-    const std::int16_t* lut = (*plane_lut)[static_cast<std::size_t>(b)].data();
-    for (std::size_t d = 0; d < head_dim; ++d) {
-      plane[base + d] = lut[k_row[d] - qmin];
-    }
+std::size_t QuantizedKvStore::grow(std::size_t count) {
+  const std::size_t first = len;
+  len += count;
+  keys.resize(len * head_dim);
+  values.resize(len * head_dim);
+  for (auto& plane : key_planes) plane.resize(len * head_dim);
+  return first;
+}
+
+void QuantizedKvStore::set_row(std::size_t r, const std::int16_t* k_row,
+                               const std::int16_t* v_row) {
+  const std::size_t base = r * head_dim;
+  std::copy_n(k_row, head_dim, keys.data() + base);
+  std::copy_n(v_row, head_dim, values.data() + base);
+  for (std::size_t b = 0; b < key_planes.size(); ++b) {
+    fx::chunk_plane_row(k_row, head_dim, static_cast<int>(b), key_params,
+                        key_planes[b].data() + base);
   }
-  ++len;
 }
 
 void QuantizedKvStore::compact(const std::uint8_t* keep) {
@@ -178,6 +137,7 @@ void QuantizedKvCache::clear() {
   key_amax_ = 0.0f;
   value_amax_ = 0.0f;
   ids_.clear();
+  stale_rows_ = 0;  // pending rows are dropped, not settled
   key_rescales_ = 0;
   value_rescales_ = 0;
 }
@@ -196,52 +156,46 @@ QuantizedKvCache::ResidencyBytes QuantizedKvCache::residency() const {
   return b;
 }
 
-// Re-grids every row already in the store under the (just-updated) shared
-// scales. Covers exactly store_.len rows: append paths call this BEFORE
-// pushing their new rows, whose floats are still at hand and are quantized
-// directly under the new scale afterward.
-void QuantizedKvCache::requantize_all(float old_key_scale,
-                                      float old_value_scale) {
-  const std::size_t n = store_.len;
-  k_row_scratch_.resize(head_dim_);
-  v_row_scratch_.resize(head_dim_);
-  if (source_ != nullptr) {
-    // Float-sourced: re-read the original rows by stable id — bit-identical
-    // to quantizing the live set from scratch (the headroom-1 contract).
-    store_.clear_rows();
-    for (std::size_t r = 0; r < n; ++r) {
-      quantize_row({source_->key_row(ids_[r]), head_dim_}, store_.key_params,
-                   k_row_scratch_.data());
-      quantize_row({source_->value_row(ids_[r]), head_dim_},
-                   store_.value_params, v_row_scratch_.data());
-      store_.push_row(k_row_scratch_.data(), v_row_scratch_.data());
-    }
-    return;
-  }
-  // Sourceless fallback: re-grid the stored int16 rows through a precomputed
-  // fixed-point scale ratio (fx::rescale_row_i16). One extra re-rounding per
-  // rescale — within 1 ULP of the real-ratio grid, bounded and pinned by
-  // tests — in exchange for needing no floats at all. The arenas are
-  // snapshotted first because push_row rebuilds the planes row by row.
+// Re-grids every stored row in place from its current int16 values through
+// a precomputed fixed-point scale ratio (fx::rescale_row_i16): one extra
+// re-rounding per rescale — within 1 ULP of the real-ratio grid, bounded and
+// pinned by tests — in exchange for needing no floats at all. It needs each
+// row's old scale, so unlike the sourced re-grid it cannot be deferred.
+void QuantizedKvCache::regrid_sourceless(float old_key_scale,
+                                         float old_value_scale) {
   const fx::FixedRatio k_ratio =
       fx::make_fixed_ratio(old_key_scale, store_.key_params.scale);
   const fx::FixedRatio v_ratio =
       fx::make_fixed_ratio(old_value_scale, store_.value_params.scale);
-  k_arena_scratch_.assign(store_.keys.begin(), store_.keys.end());
-  v_arena_scratch_.assign(store_.values.begin(), store_.values.end());
-  store_.clear_rows();
-  for (std::size_t r = 0; r < n; ++r) {
-    fx::rescale_row_i16(k_arena_scratch_.data() + r * head_dim_, head_dim_,
+  k_row_scratch_.resize(head_dim_);
+  v_row_scratch_.resize(head_dim_);
+  for (std::size_t r = 0; r < store_.len; ++r) {
+    fx::rescale_row_i16(store_.keys.data() + r * head_dim_, head_dim_,
                         k_ratio, store_.key_params.qmin(),
                         store_.key_params.qmax(), k_row_scratch_.data());
-    fx::rescale_row_i16(v_arena_scratch_.data() + r * head_dim_, head_dim_,
+    fx::rescale_row_i16(store_.values.data() + r * head_dim_, head_dim_,
                         v_ratio, store_.value_params.qmin(),
                         store_.value_params.qmax(), v_row_scratch_.data());
-    store_.push_row(k_row_scratch_.data(), v_row_scratch_.data());
+    store_.set_row(r, k_row_scratch_.data(), v_row_scratch_.data());
   }
 }
 
-bool QuantizedKvCache::ensure_scales(float key_amax, float value_amax) {
+// Float-sourced: re-reads the pending rows by stable id under the current
+// scales — bit-identical to quantizing the live set from scratch (the
+// headroom-1 contract), however many scale changes came since the last read.
+void QuantizedKvCache::settle(const RescaleSource& source) const {
+  for (std::size_t r = 0; r < stale_rows_; ++r) {
+    quantize_row_into(r, source.key_row(ids_[r]), source.value_row(ids_[r]));
+  }
+  stale_rows_ = 0;
+}
+
+void QuantizedKvCache::set_rescale_source(const RescaleSource* source) {
+  const RescaleSource* previous = std::exchange(source_, source);
+  if (stale_rows_ != 0) settle(*previous);
+}
+
+void QuantizedKvCache::ensure_scales(float key_amax, float value_amax) {
   const float old_key_scale = store_.key_params.scale;
   const float old_value_scale = store_.value_params.scale;
   const float k_target = scale_for_amax(key_amax, store_.key_params.total_bits);
@@ -284,16 +238,23 @@ bool QuantizedKvCache::ensure_scales(float key_amax, float value_amax) {
   }
   key_amax_ = key_amax;
   value_amax_ = value_amax;
-  if (requant) requantize_all(old_key_scale, old_value_scale);
-  return requant;
+  if (!requant) return;
+  // Called before the new rows are stored: their floats are at hand, so
+  // they are quantized at the new scale directly and never pending.
+  if (source_ != nullptr) {
+    stale_rows_ = store_.len;
+  } else {
+    regrid_sourceless(old_key_scale, old_value_scale);
+  }
 }
 
-void QuantizedKvCache::push_quantized(const float* k_row, const float* v_row) {
+void QuantizedKvCache::quantize_row_into(std::size_t r, const float* k_row,
+                                         const float* v_row) const {
   k_row_scratch_.resize(head_dim_);
   v_row_scratch_.resize(head_dim_);
   quantize_row({k_row, head_dim_}, store_.key_params, k_row_scratch_.data());
   quantize_row({v_row, head_dim_}, store_.value_params, v_row_scratch_.data());
-  store_.push_row(k_row_scratch_.data(), v_row_scratch_.data());
+  store_.set_row(r, k_row_scratch_.data(), v_row_scratch_.data());
 }
 
 void QuantizedKvCache::append(std::span<const float> k,
@@ -311,11 +272,11 @@ void QuantizedKvCache::append(std::span<const float> k,
   key_row_amax_.push_back(ka);
   value_row_amax_.push_back(va);
   ids_.push_back(id);
-  // A record-setting row triggers the whole-head requantize of the rows
-  // already stored; the new row's floats are at hand either way, so it is
+  // A record-setting row re-grids the rows already stored (at the next read
+  // when sourced); the new row's floats are at hand either way, so it is
   // always quantized exactly under the (possibly fresh) scale.
   ensure_scales(std::max(key_amax_, ka), std::max(value_amax_, va));
-  push_quantized(k.data(), v.data());
+  quantize_row_into(store_.grow(1), k.data(), v.data());
 }
 
 void QuantizedKvCache::append_rows(const float* k_rows, const float* v_rows,
@@ -333,12 +294,15 @@ void QuantizedKvCache::append_rows(const float* k_rows, const float* v_rows,
     value_row_amax_.push_back(rva);
     ids_.push_back(first_id + r);
   }
-  // At most one whole-head requantize for the batch — the scale target is
-  // computed over ALL batch maxima before any batch row is quantized, so
-  // every batch row lands on the final grid directly from its floats.
+  // At most one scale change for the batch — the scale target is computed
+  // over ALL batch maxima before any batch row is quantized, so every batch
+  // row lands on the final grid directly from its floats. The arenas grow
+  // once for the whole batch.
   ensure_scales(ka, va);
+  const std::size_t first = store_.grow(count);
   for (std::size_t r = 0; r < count; ++r) {
-    push_quantized(k_rows + r * head_dim_, v_rows + r * head_dim_);
+    quantize_row_into(first + r, k_rows + r * head_dim_,
+                      v_rows + r * head_dim_);
   }
 }
 
@@ -364,6 +328,9 @@ std::size_t QuantizedKvCache::evict_ids(std::span<const std::size_t> ids) {
   }
   if (evicted == 0) return 0;
 
+  // Pending rows are settled while every id they name is still resident
+  // (the source may drop evicted rows once this returns).
+  if (stale_rows_ != 0) settle(*source_);
   store_.compact(keep_scratch_.data());
   std::size_t w = 0;
   for (std::size_t r = 0; r < n; ++r) {
@@ -380,7 +347,7 @@ std::size_t QuantizedKvCache::evict_ids(std::span<const std::size_t> ids) {
   ids_.resize(w);
 
   // The record holder may have left: recompute the live maxima (cheap — one
-  // float per row) and shrink-rescale if the scale must follow.
+  // float per row) and shrink the scale if it must follow.
   float ka = 0.0f, va = 0.0f;
   for (std::size_t r = 0; r < w; ++r) {
     ka = std::max(ka, key_row_amax_[r]);
@@ -447,7 +414,8 @@ bool tail_matches_view(const QuantizedKvCache& cache, const KvHeadView& view,
 void sync_cache_to_view(QuantizedKvCache& cache, const KvHeadView& view) {
   const std::size_t n = cache.len();
   // Register the view as the rescale source for the duration of the sync
-  // (restoring the caller's source on every exit path): rebuilds and
+  // (restoring the caller's source on every exit path, which settles any
+  // pending rows while the view is still registered): rebuilds and
   // suffix-append rescales then re-read exact floats from the view.
   const ViewRescaleSource source(view);
   struct RestoreSource {

@@ -6,9 +6,15 @@
 // unchanged, every already-quantized token is bit-identical to what a fresh
 // quantize_kv() would produce from the same floats. QuantizedKvCache
 // therefore quantizes each token once at append, tracks the live set's
-// max|x| (keys and values separately, via per-row maxima), and re-quantizes
-// the whole head only on the rare step where that max changes — a new record
-// on append, or the record holder leaving on evict. With headroom == 1
+// max|x| (keys and values separately, via per-row maxima), and re-grids the
+// whole head only when that max changes — a new record on append, or the
+// record holder leaving on evict. With a RescaleSource registered, the
+// re-grid is deferred to the next read: a scale change only marks the rows
+// already stored as pending, rows appended afterward are quantized at the new
+// scale directly, and the next view() (or evict_ids / set_rescale_source)
+// re-quantizes the pending rows from the source's floats, in place, once —
+// however many scale changes came between. Sourceless caches re-grid eagerly
+// in the int domain, which needs each row's old scale. With headroom == 1
 // (default) the integers, scales, and every downstream pruning decision are
 // bit-identical to the from-scratch path (tests/quantized_kv_cache_test.cpp
 // proves it over randomized append/evict interleavings); headroom > 1 trades
@@ -17,9 +23,10 @@
 // Keys are stored twice, SoA-style:
 //   * a flat token-major int16 arena (full values) for exact dots, and
 //   * chunk-planar planes — one contiguous int16 plane per chunk holding
-//     partial_value(k, b+1) - partial_value(k, b) — so the estimation pass's
-//     chunk_dot_delta becomes a contiguous plane walk instead of per-element
-//     double masking.
+//     partial_value(k, b+1) - partial_value(k, b), formed from two bit masks
+//     by fx::chunk_plane_row when the row is written — so the estimation
+//     pass's chunk_dot_delta becomes a contiguous plane walk instead of
+//     per-element double masking.
 // Values live in a flat arena; nothing on the per-token heap.
 #pragma once
 
@@ -97,7 +104,7 @@ inline void weighted_value_accum_scalar(float* out, const std::int16_t* v,
 
 // Row quantization lives in fx::quantize_row_i16 (fixedpoint/quant.h) — the
 // single implementation of the element math shared by fx::quantize_into and
-// the cache's append/requantize paths (the prompt-prefill hot kernel).
+// the cache's append/re-grid paths (the prompt-prefill hot kernel).
 // Which kernel table the runtime probe (or TOPICK_FORCE_ISA) selected:
 // "scalar", "sse41", "avx2", "avx512", or "neon" (recorded in
 // BENCH_hotpath.json so archived numbers are attributable to a kernel).
@@ -113,24 +120,20 @@ struct QuantizedKvStore {
   std::vector<std::int16_t> keys;
   std::vector<std::int16_t> values;
   std::vector<std::vector<std::int16_t>> key_planes;  // [num_chunks]
-  // Chunk-plane delta LUT: (*plane_lut)[b][q - qmin] ==
-  // partial_value(q, b+1) - partial_value(q, b). A pure function of the bit
-  // layout (total_bits / chunk_bits — scale never enters), so it survives
-  // rescales and turns push_row's plane fill into table lookups instead of
-  // per-element mask arithmetic (the requantize_all hot loop). Points into a
-  // process-wide cache keyed by the bit layout: every store across every
-  // (slot, layer, head) instance shares one table instead of rebuilding
-  // num_chunks * 2^total_bits entries per admission.
-  const std::vector<std::vector<std::int16_t>>* plane_lut = nullptr;
 
   // Sets precision/scale and head_dim; drops all rows, keeps capacity.
   void reset(const fx::QuantParams& key_params,
              const fx::QuantParams& value_params, std::size_t head_dim);
   void clear_rows();
-  // Appends one already-quantized token row (computes its key planes).
-  // Precondition: every element lies in [params.qmin(), params.qmax()] —
-  // quantize() output always does (the plane LUT is indexed by value).
-  void push_row(const std::int16_t* k_row, const std::int16_t* v_row);
+  // Grows every arena by `count` rows in one step and returns the index of
+  // the first new row; the new rows read zero until set_row fills them.
+  std::size_t grow(std::size_t count);
+  // Overwrites row `r` (< len) with one already-quantized token row and
+  // derives its key planes. The estimator's chunk split assumes every key
+  // element lies in [params.qmin(), params.qmax()]; quantize() output
+  // always does.
+  void set_row(std::size_t r, const std::int16_t* k_row,
+               const std::int16_t* v_row);
   // Stable in-place removal of rows where keep[r] == 0.
   void compact(const std::uint8_t* keep);
 
@@ -139,13 +142,13 @@ struct QuantizedKvStore {
 
 // Float-row provider for whole-head rescales, keyed by the caller's stable
 // token ids. The cache itself retains NO floats (the f32 mirror is gone —
-// per-row maxima + ids are its only float-domain residue); when a rescale
-// fires it re-reads the original rows from whoever still owns them:
+// per-row maxima + ids are its only float-domain residue); a re-grid
+// re-reads the original rows from whoever still owns them:
 //   * the serve paged pool (serve/paged_sequence.h) — rows live in pool
-//     pages under the same ids until swept, and eviction rescales run
-//     before the sweep;
+//     pages under the same ids until swept; evict_ids settles before the
+//     sweep frees a page, and preemption and cancel clear the cache;
 //   * sync_cache_to_view's float view — rows 0..len-1 by position for the
-//     duration of the sync (backends never rescale outside it).
+//     duration of the sync, which settles before it returns.
 // With a source registered, a headroom-1 rescale is bit-identical to
 // quantize-from-scratch, exactly like the old mirror. Without one the cache
 // falls back to the int-domain ratio rescale (rescale_row_i16): each
@@ -153,8 +156,10 @@ struct QuantizedKvStore {
 // precomputed fixed-point ratio, which adds at most one re-rounding of
 // bounded size per rescale (within 1 ULP of the real-ratio grid; pinned by
 // tests/quantized_kv_cache_test.cpp) instead of re-reading exact floats.
-// Returned pointers must stay valid for the duration of the rescale call
-// and must only be queried for ids currently resident in the cache.
+// Lifetime: a scale change defers the re-grid to the cache's next read, so
+// the source must keep the rows of every resident id valid until that read
+// (view(), evict_ids or set_rescale_source), not only during the call that
+// changed the scale. It is only queried for ids resident in the cache.
 class RescaleSource {
  public:
   virtual ~RescaleSource() = default;
@@ -213,8 +218,10 @@ class QuantizedKvCache {
   float value_row_amax(std::size_t pos) const { return value_row_amax_[pos]; }
 
   // Registers (or clears, with nullptr) the float-row provider used by
-  // whole-head rescales; not owned. See RescaleSource for the contract.
-  void set_rescale_source(const RescaleSource* source) { source_ = source; }
+  // whole-head rescales; not owned. Rows still pending from a deferred
+  // re-grid are settled under the previous source first. See RescaleSource
+  // for the contract.
+  void set_rescale_source(const RescaleSource* source);
   const RescaleSource* rescale_source() const { return source_; }
 
   // Resident host bytes, split by arena — what one head of this cache
@@ -234,35 +241,47 @@ class QuantizedKvCache {
   };
   ResidencyBytes residency() const;
 
-  QuantizedKvView view() const { return store_.view(); }
+  // Settles any pending re-grid first, so the view always holds the bits a
+  // from-scratch quantization would. The settle writes the arenas through
+  // mutable members: a cache with pending rows has one reader at a time (in
+  // the serve engine each (slot, layer, head) cache belongs to one unit per
+  // step).
+  QuantizedKvView view() const {
+    if (stale_rows_ != 0) settle(*source_);
+    return store_.view();
+  }
   const fx::QuantParams& key_params() const { return store_.key_params; }
   const fx::QuantParams& value_params() const { return store_.value_params; }
   const Config& config() const { return config_; }
 
-  // Diagnostics: whole-head re-quantizations since construction/clear().
+  // Diagnostics: shared-scale changes since construction/clear(). With a
+  // source, several changes between two reads cost one re-grid.
   std::uint64_t key_rescales() const { return key_rescales_; }
   std::uint64_t value_rescales() const { return value_rescales_; }
 
  private:
-  // Adjusts the shared scales for new live maxima; when a scale changes it
-  // re-quantizes every stored row (from the registered source's floats, or
-  // int-domain when sourceless) and returns true.
-  bool ensure_scales(float key_amax, float value_amax);
-  void requantize_all(float old_key_scale, float old_value_scale);
-  void push_quantized(const float* k_row, const float* v_row);
+  // Adjusts the shared scales for new live maxima. When a scale changes,
+  // every stored row becomes pending (with a source) or is re-gridded in the
+  // int domain right away (sourceless).
+  void ensure_scales(float key_amax, float value_amax);
+  void regrid_sourceless(float old_key_scale, float old_value_scale);
+  // Re-quantizes the pending rows [0, stale_rows_) from `source`, in place.
+  void settle(const RescaleSource& source) const;
+  void quantize_row_into(std::size_t r, const float* k_row,
+                         const float* v_row) const;
 
   Config config_;
   std::size_t head_dim_ = 0;
-  QuantizedKvStore store_;
+  mutable QuantizedKvStore store_;
+  // Rows [0, stale_rows_) were stored under an older scale and are
+  // re-quantized from source_ by the next read.
+  mutable std::size_t stale_rows_ = 0;
   const RescaleSource* source_ = nullptr;  // not owned; may be null
   std::vector<float> key_row_amax_, value_row_amax_;
   float key_amax_ = 0.0f, value_amax_ = 0.0f;
   std::vector<std::size_t> ids_;
   std::uint64_t key_rescales_ = 0, value_rescales_ = 0;
-  std::vector<std::int16_t> k_row_scratch_, v_row_scratch_;
-  // Sourceless rescales re-grid in place from a snapshot of the old arenas
-  // (push_row rebuilds the planes, so the old rows must survive clear_rows).
-  std::vector<std::int16_t> k_arena_scratch_, v_arena_scratch_;
+  mutable std::vector<std::int16_t> k_row_scratch_, v_row_scratch_;
   std::vector<std::uint8_t> keep_scratch_;
   std::vector<std::size_t> evict_scratch_;
 };
@@ -276,7 +295,8 @@ class QuantizedKvCache {
 // the cache's current params must reproduce the stored int16 bits. For the
 // duration of the call the view itself is registered as the cache's
 // RescaleSource, so a suffix-append rescale stays bit-identical to
-// from-scratch; the cache's previous source is restored before returning.
+// from-scratch; the cache's previous source is restored before returning,
+// which settles any pending rows while the view is still registered.
 void sync_cache_to_view(QuantizedKvCache& cache, const KvHeadView& view);
 
 // Exact quantized attention over a planar view — bit-identical to

@@ -38,19 +38,21 @@ TokenPickerResult TokenPickerAttention::attend_quantized(
   const std::size_t head_dim = q.size();
 
   aos_scratch_.reset(kv.keys[0].params, kv.values[0].params, head_dim);
+  aos_scratch_.grow(len);
   const auto kmin = static_cast<std::int16_t>(kv.keys[0].params.qmin());
   const auto kmax = static_cast<std::int16_t>(kv.keys[0].params.qmax());
   for (std::size_t t = 0; t < len; ++t) {
     require(kv.keys[t].size() == head_dim && kv.values[t].size() == head_dim,
             "attend_quantized: row size mismatch");
-    // push_row's plane LUT is indexed by value, so enforce the store's
-    // precondition here — the one entry point whose rows need not come from
-    // quantize() (which always clamps into [qmin, qmax]).
+    // The estimator's chunk split and margins assume every key lies in
+    // [qmin, qmax] of the head's format, so enforce it here — the one entry
+    // point whose rows need not come from quantize() (which always clamps).
     for (const std::int16_t k : kv.keys[t].values) {
       require(k >= kmin && k <= kmax,
               "attend_quantized: key value outside the head's quant range");
     }
-    aos_scratch_.push_row(kv.keys[t].values.data(), kv.values[t].values.data());
+    aos_scratch_.set_row(t, kv.keys[t].values.data(),
+                         kv.values[t].values.data());
   }
   attend_view(q, aos_scratch_.view(), score_scale, &result_scratch_);
   return result_scratch_;

@@ -67,6 +67,15 @@ std::int16_t partial_value(std::int16_t value, int chunks_known,
   return static_cast<std::int16_t>(value & known_mask(chunks_known, params));
 }
 
+void chunk_plane_row(const std::int16_t* k, std::size_t n, int chunk_idx,
+                     const QuantParams& params, std::int16_t* out) {
+  const std::int16_t hi = known_mask(chunk_idx + 1, params);
+  const std::int16_t lo = known_mask(chunk_idx, params);
+  for (std::size_t d = 0; d < n; ++d) {
+    out[d] = static_cast<std::int16_t>((k[d] & hi) - (k[d] & lo));
+  }
+}
+
 std::int16_t assemble(const std::vector<std::uint16_t>& chunks,
                       const QuantParams& params) {
   require(static_cast<int>(chunks.size()) == params.num_chunks(),
@@ -100,12 +109,8 @@ std::int64_t partial_dot_i64(const QuantizedVector& q, const QuantizedVector& k,
 std::int64_t chunk_dot_delta_i64(const QuantizedVector& q,
                                  const QuantizedVector& k, int chunk_idx) {
   require(q.values.size() == k.values.size(), "chunk_dot_delta: length mismatch");
-  // partial_value(k, b + 1) - partial_value(k, b) = (k & hi) - (k & lo): the
-  // two level masks are hoisted, the deltas are formed a block at a time on
-  // the stack, and each block goes through the dispatched row_dot_i64. Every
-  // delta fits int16 (the chunk's bits, or k's known prefix for chunk 0).
-  const std::int16_t hi = known_mask(chunk_idx + 1, k.params);
-  const std::int16_t lo = known_mask(chunk_idx, k.params);
+  // The chunk's plane (see chunk_plane_row) is formed a block at a time on
+  // the stack, and each block goes through the dispatched row_dot_i64.
   constexpr std::size_t kBlock = 64;
   std::int16_t delta[kBlock];
   const std::int16_t* qv = q.values.data();
@@ -114,10 +119,7 @@ std::int64_t chunk_dot_delta_i64(const QuantizedVector& q,
   std::int64_t acc = 0;
   for (std::size_t base = 0; base < n; base += kBlock) {
     const std::size_t m = std::min(kBlock, n - base);
-    for (std::size_t i = 0; i < m; ++i) {
-      delta[i] = static_cast<std::int16_t>((kv[base + i] & hi) -
-                                           (kv[base + i] & lo));
-    }
+    chunk_plane_row(kv + base, m, chunk_idx, k.params, delta);
     acc += row_dot_i64(qv + base, delta, m);
   }
   return acc;

@@ -7,6 +7,7 @@
 // sign — the property the margin pairs are built on.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -32,6 +33,15 @@ std::int32_t residual_weight(int chunks_known, const QuantParams& params);
 // -3 lies in [-16, -16 + 15].
 std::int16_t partial_value(std::int16_t value, int chunks_known,
                            const QuantParams& params);
+
+// Chunk `chunk_idx`'s plane row: out[d] = partial_value(k[d], chunk_idx + 1)
+// - partial_value(k[d], chunk_idx) for d in [0, n), formed from the two level
+// masks as (k & mask(b + 1)) - (k & mask(b)). That is k's known prefix for
+// chunk 0 and the chunk's non-negative bits below it, so the planes of every
+// chunk sum back to k, and each fits int16. The key-plane arenas of the
+// quantized KV cache and chunk_dot_delta_i64 are both built from it.
+void chunk_plane_row(const std::int16_t* k, std::size_t n, int chunk_idx,
+                     const QuantParams& params, std::int16_t* out);
 
 // Reassembles a value from its chunk bit patterns; inverse of chunk_bits_of.
 std::int16_t assemble(const std::vector<std::uint16_t>& chunks,

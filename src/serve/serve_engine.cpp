@@ -770,8 +770,10 @@ void ServeEngine::run_decode_instance(std::size_t pending, std::size_t inst,
       res.stats = ws.picker_result.stats;
       res.out.assign(ws.picker_result.output.begin(),
                      ws.picker_result.output.end());
-      res.decisions.assign(ws.picker_result.decisions.begin(),
-                           ws.picker_result.decisions.end());
+      // Hand the decisions over instead of copying them (32 B per context
+      // token): both buffers keep their capacity, and attend_cached clears
+      // the workspace's before refilling it.
+      res.decisions.swap(ws.picker_result.decisions);
       break;
     }
     case BackendKind::exact_quantized: {

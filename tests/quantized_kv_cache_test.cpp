@@ -112,14 +112,15 @@ TEST(QuantizedKvStore, PlaneRowsSumToFullKey) {
 
   QuantizedKvStore store;
   store.reset(params, params, dim);
+  store.grow(5);
   std::vector<std::int16_t> k_row(dim), v_row(dim);
-  for (int t = 0; t < 5; ++t) {
+  for (std::size_t t = 0; t < 5; ++t) {
     for (std::size_t d = 0; d < dim; ++d) {
       k_row[d] = static_cast<std::int16_t>(
           static_cast<std::int32_t>(rng.uniform_index(4096)) - 2048);
       v_row[d] = k_row[d];
     }
-    store.push_row(k_row.data(), v_row.data());
+    store.set_row(t, k_row.data(), v_row.data());
   }
 
   const QuantizedKvView view = store.view();
@@ -130,6 +131,47 @@ TEST(QuantizedKvStore, PlaneRowsSumToFullKey) {
         sum += view.key_plane_row(b, t)[d];
       }
       EXPECT_EQ(sum, view.key(t)[d]) << "token " << t << " dim " << d;
+    }
+  }
+}
+
+// The key planes come from two bit masks (fx::chunk_plane_row). Over every
+// representable value of each format they must equal the partial-value
+// difference the estimator reasons about, and sum back to the key — through
+// the row helper and through the store that writes the arenas.
+TEST(QuantizedKvStore, MaskPlanesEqualPartialValueDeltasAtEveryFormat) {
+  const int formats[][2] = {{12, 4}, {12, 2}, {12, 6}, {8, 4}, {8, 2}, {6, 2}};
+  for (const auto& format : formats) {
+    fx::QuantParams params;
+    params.total_bits = format[0];
+    params.chunk_bits = format[1];
+    std::vector<std::int16_t> domain;
+    for (std::int32_t q = params.qmin(); q <= params.qmax(); ++q) {
+      domain.push_back(static_cast<std::int16_t>(q));
+    }
+    const std::size_t n = domain.size();
+    QuantizedKvStore store;
+    store.reset(params, params, n);
+    store.set_row(store.grow(1), domain.data(), domain.data());
+    const QuantizedKvView view = store.view();
+
+    std::vector<std::int32_t> sum(n, 0);
+    std::vector<std::int16_t> plane(n);
+    for (int b = 0; b < params.num_chunks(); ++b) {
+      fx::chunk_plane_row(domain.data(), n, b, params, plane.data());
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::int16_t q = domain[i];
+        const auto expected = static_cast<std::int16_t>(
+            fx::partial_value(q, b + 1, params) -
+            fx::partial_value(q, b, params));
+        ASSERT_EQ(plane[i], expected)
+            << format[0] << "/" << format[1] << " chunk " << b << " q " << q;
+        ASSERT_EQ(view.key_plane_row(b, 0)[i], expected);
+        sum[i] += plane[i];
+      }
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(sum[i], domain[i]) << format[0] << "/" << format[1];
     }
   }
 }
@@ -526,6 +568,317 @@ TEST(QuantizedKvCache, SyncToViewGrowsAndGuardsRestarts) {
   ASSERT_NE(keys3, keys2);
   sync_cache_to_view(cache, {keys3.data(), values2.data(), 8, dim});
   expect_adopted(keys3, values2);
+}
+
+// Counts the rows a cache asks its source for: the deferred re-grid's cost
+// is exactly these reads.
+struct CountingSource final : RescaleSource {
+  const RescaleSource* inner;
+  mutable std::size_t key_reads = 0, value_reads = 0;
+
+  explicit CountingSource(const RescaleSource* source) : inner(source) {}
+  const float* key_row(std::size_t id) const override {
+    ++key_reads;
+    return inner->key_row(id);
+  }
+  const float* value_row(std::size_t id) const override {
+    ++value_reads;
+    return inner->value_row(id);
+  }
+  std::size_t reads() const { return key_reads + value_reads; }
+};
+
+// Every stored row, and its key planes, equals the row's floats quantized
+// under the cache's current params — the from-scratch bits at any headroom.
+void expect_rows_on_current_grid(const QuantizedKvCache& cache,
+                                 const ShadowKv& shadow) {
+  ASSERT_EQ(cache.len(), shadow.ids.size());
+  const std::size_t dim = shadow.head_dim;
+  const fx::QuantParams& kp = cache.key_params();
+  const QuantizedKvView view = cache.view();
+  std::vector<std::int16_t> k(dim), v(dim);
+  for (std::size_t t = 0; t < cache.len(); ++t) {
+    ASSERT_EQ(cache.id_at(t), shadow.ids[t]);
+    fx::quantize_row_i16(shadow.keys[t].data(), dim, kp, k.data());
+    fx::quantize_row_i16(shadow.values[t].data(), dim, cache.value_params(),
+                         v.data());
+    for (std::size_t d = 0; d < dim; ++d) {
+      ASSERT_EQ(view.key(t)[d], k[d]) << "token " << t << " dim " << d;
+      ASSERT_EQ(view.value(t)[d], v[d]) << "token " << t << " dim " << d;
+      for (int b = 0; b < kp.num_chunks(); ++b) {
+        ASSERT_EQ(view.key_plane_row(b, t)[d],
+                  fx::partial_value(k[d], b + 1, kp) -
+                      fx::partial_value(k[d], b, kp));
+      }
+    }
+  }
+}
+
+// Randomized writes with spikes, several scale changes between reads, then
+// one read through view(), attend_cached() or evict_ids(): the read must
+// leave the head exactly where from-scratch quantization puts it, and leave
+// nothing pending. At headroom 1.5 the grid is the cache's own, so rows are
+// checked against it rather than against choose_scale().
+TEST(QuantizedKvCache, DeferredRegridMatchesFromScratchAcrossReads) {
+  for (const float headroom : {1.0f, 1.5f}) {
+    Rng rng(headroom == 1.0f ? 0xdefe1 : 0xdefe2);
+    const std::size_t dim = 16;
+    TokenPickerConfig config;
+    config.estimator.threshold = 1e-3;
+    QuantizedKvCache cache(dim, {config.quant, headroom});
+    ShadowKv shadow(dim);
+    CountingSource counting(&shadow);
+    cache.set_rescale_source(&counting);
+    TokenPickerAttention cached_op(config);
+    TokenPickerAttention reference_op(config);
+    TokenPickerResult cached_result;
+
+    std::size_t next_id = 0;
+    double spike = 2.0;
+    std::uint64_t most_changes_between_reads = 0;
+    const auto rescales = [&] {
+      return cache.key_rescales() + cache.value_rescales();
+    };
+    for (int round = 0; round < 90; ++round) {
+      const std::uint64_t before_writes = rescales();
+      const std::size_t writes = 1 + rng.uniform_index(5);
+      for (std::size_t w = 0; w < writes; ++w) {
+        // Growing spikes keep setting records, so the scale moves often.
+        const bool spiking = rng.uniform_index(3) == 0;
+        if (spiking) spike *= 1.3;
+        const double mag = spiking ? spike : 1.0;
+        if (rng.uniform_index(3) == 0) {
+          const std::size_t count = 1 + rng.uniform_index(6);
+          std::vector<float> k_rows, v_rows;
+          for (std::size_t r = 0; r < count; ++r) {
+            auto k = random_row(rng, dim, mag);
+            auto v = random_row(rng, dim, mag);
+            k_rows.insert(k_rows.end(), k.begin(), k.end());
+            v_rows.insert(v_rows.end(), v.begin(), v.end());
+            shadow.append(std::move(k), std::move(v), next_id + r);
+          }
+          cache.append_rows(k_rows.data(), v_rows.data(), count, next_id);
+          next_id += count;
+        } else {
+          auto k = random_row(rng, dim, mag);
+          auto v = random_row(rng, dim, mag);
+          cache.append(k, v, next_id);
+          shadow.append(std::move(k), std::move(v), next_id);
+          ++next_id;
+        }
+      }
+      most_changes_between_reads =
+          std::max(most_changes_between_reads, rescales() - before_writes);
+
+      bool read_may_leave_pending = false;
+      switch (round % 3) {
+        case 0:
+          (void)cache.view();
+          break;
+        case 1: {
+          const auto q = random_row(rng, dim, 1.0);
+          cached_op.attend_cached(q, cache, &cached_result);
+          // Reference: the same query against the shadow's floats quantized
+          // under the cache's current params.
+          QuantizedKv kv;
+          for (std::size_t t = 0; t < shadow.ids.size(); ++t) {
+            kv.keys.push_back(fx::quantize(shadow.keys[t], cache.key_params()));
+            kv.values.push_back(
+                fx::quantize(shadow.values[t], cache.value_params()));
+          }
+          fx::QuantParams qp = config.quant;
+          qp.scale = fx::choose_scale(q, config.quant.total_bits);
+          const double score_scale =
+              static_cast<double>(qp.scale) * cache.key_params().scale /
+              std::sqrt(static_cast<double>(dim));
+          expect_same_result(
+              cached_result,
+              reference_op.attend_quantized(fx::quantize(q, qp), kv,
+                                            score_scale));
+          break;
+        }
+        default: {
+          std::vector<std::size_t> dead;
+          const std::size_t count = 1 + rng.uniform_index(3);
+          for (std::size_t i = 0;
+               i < count && shadow.ids.size() - dead.size() > 2; ++i) {
+            dead.push_back(shadow.ids[rng.uniform_index(shadow.ids.size())]);
+          }
+          const std::uint64_t before_evict = rescales();
+          cache.evict_ids(dead);
+          // The source drops the evicted rows at once, as the pool's sweep
+          // does: a settle after this point may not ask for them.
+          shadow.evict(dead);
+          read_may_leave_pending = rescales() != before_evict;
+          break;
+        }
+      }
+      const std::size_t reads_after = counting.reads();
+      expect_rows_on_current_grid(cache, shadow);
+      if (!read_may_leave_pending) {
+        EXPECT_EQ(counting.reads(), reads_after)
+            << "round " << round << ": the read left rows pending";
+      }
+      if (headroom == 1.0f) expect_matches_from_scratch(cache, shadow);
+    }
+    EXPECT_GE(most_changes_between_reads, 2u);
+  }
+}
+
+// k record-setting appends and then one read cost one re-grid: the rows
+// stored at the last scale change, not the sum over the k changes. No read,
+// no source reads.
+TEST(QuantizedKvCache, RecordAppendsBetweenReadsCostOneRegrid) {
+  Rng rng(0x0c0f);
+  const std::size_t dim = 8;
+  QuantizedKvCache cache(dim);
+  ShadowKv shadow(dim);
+  CountingSource counting(&shadow);
+  cache.set_rescale_source(&counting);
+  const std::size_t base = 20;
+  for (std::size_t t = 0; t < base; ++t) {
+    auto k = random_row(rng, dim, 0.5);
+    auto v = random_row(rng, dim, 0.5);
+    cache.append(k, v, t);
+    shadow.append(std::move(k), std::move(v), t);
+  }
+  (void)cache.view();
+  counting.key_reads = counting.value_reads = 0;
+
+  const std::size_t k_records = 5;
+  const std::uint64_t before = cache.key_rescales();
+  for (std::size_t i = 0; i < k_records; ++i) {
+    auto k = random_row(rng, dim, 0.5);
+    k[0] = 10.0f * static_cast<float>(i + 1);  // a new key record each time
+    auto v = random_row(rng, dim, 0.5);
+    cache.append(k, v, base + i);
+    shadow.append(std::move(k), std::move(v), base + i);
+    EXPECT_EQ(counting.reads(), 0u) << "append " << i;
+  }
+  EXPECT_EQ(cache.key_rescales(), before + k_records);
+
+  (void)cache.view();
+  EXPECT_EQ(counting.key_reads, base + k_records - 1);
+  EXPECT_EQ(counting.value_reads, base + k_records - 1);
+  expect_matches_from_scratch(cache, shadow);
+  EXPECT_EQ(counting.reads(), 2 * (base + k_records - 1));
+
+  // A bulk append with a record re-grids only the rows stored before it.
+  const std::size_t len_before_batch = cache.len();
+  std::vector<float> k_rows, v_rows;
+  for (std::size_t r = 0; r < 4; ++r) {
+    auto k = random_row(rng, dim, 0.5);
+    if (r == 2) k[1] = 500.0f;
+    auto v = random_row(rng, dim, 0.5);
+    k_rows.insert(k_rows.end(), k.begin(), k.end());
+    v_rows.insert(v_rows.end(), v.begin(), v.end());
+    shadow.append(std::move(k), std::move(v), len_before_batch + r);
+  }
+  counting.key_reads = counting.value_reads = 0;
+  cache.append_rows(k_rows.data(), v_rows.data(), 4, len_before_batch);
+  EXPECT_EQ(counting.reads(), 0u);
+  (void)cache.view();
+  EXPECT_EQ(counting.key_reads, len_before_batch);
+  expect_matches_from_scratch(cache, shadow);
+}
+
+// Rows pending when the source changes are settled under the old source;
+// the new one is never asked for them.
+TEST(QuantizedKvCache, SwitchingSourcesSettlesUnderTheOldOne) {
+  Rng rng(0x5a5a);
+  const std::size_t dim = 8;
+  QuantizedKvCache cache(dim);
+  ShadowKv shadow(dim), other(dim);
+  CountingSource old_source(&shadow), new_source(&other);
+  cache.set_rescale_source(&old_source);
+  for (std::size_t t = 0; t < 10; ++t) {
+    auto k = random_row(rng, dim, 0.5);
+    if (t == 9) k[0] = 30.0f;  // the last append leaves rows 0..8 pending
+    auto v = random_row(rng, dim, 0.5);
+    cache.append(k, v, t);
+    other.append(random_row(rng, dim, 3.0), random_row(rng, dim, 3.0), t);
+    shadow.append(std::move(k), std::move(v), t);
+  }
+  old_source.key_reads = old_source.value_reads = 0;
+
+  cache.set_rescale_source(&new_source);
+  EXPECT_EQ(old_source.key_reads, 9u);
+  EXPECT_EQ(old_source.value_reads, 9u);
+  expect_matches_from_scratch(cache, shadow);
+  EXPECT_EQ(new_source.reads(), 0u);
+}
+
+// sync_cache_to_view registers the view as the source only for the call:
+// rows its appends leave pending are settled from the view before it
+// returns, so the caller's source is never asked for them.
+TEST(QuantizedKvCache, SyncToViewLeavesNothingPending) {
+  Rng rng(0x51c);
+  const std::size_t dim = 8;
+  std::vector<float> keys, values;
+  ShadowKv shadow(dim);
+  auto grow = [&](std::size_t n, double mag) {
+    for (std::size_t i = 0; i < n; ++i) {
+      auto k = random_row(rng, dim, mag);
+      auto v = random_row(rng, dim, mag);
+      keys.insert(keys.end(), k.begin(), k.end());
+      values.insert(values.end(), v.begin(), v.end());
+      shadow.append(std::move(k), std::move(v), shadow.ids.size());
+    }
+  };
+  QuantizedKvCache cache(dim);
+  CountingSource callers(&shadow);
+  cache.set_rescale_source(&callers);
+
+  grow(6, 1.0);
+  sync_cache_to_view(cache, {keys.data(), values.data(), 6, dim});
+  for (const double mag : {1.0, 20.0, 400.0}) {
+    const std::uint64_t before = cache.key_rescales();
+    grow(3, mag);
+    sync_cache_to_view(cache,
+                       {keys.data(), values.data(), shadow.ids.size(), dim});
+    if (mag > 1.0) {
+      EXPECT_GT(cache.key_rescales(), before);
+    }
+    EXPECT_EQ(cache.rescale_source(), &callers);
+    (void)cache.view();
+    EXPECT_EQ(callers.reads(), 0u) << "mag " << mag;
+    expect_matches_from_scratch(cache, shadow);
+  }
+}
+
+// clear() drops pending rows instead of settling them: the source is never
+// asked for the cleared rows.
+TEST(QuantizedKvCache, ClearDropsPendingRows) {
+  Rng rng(0xc1ea);
+  const std::size_t dim = 8;
+  QuantizedKvCache cache(dim);
+  ShadowKv shadow(dim);
+  CountingSource counting(&shadow);
+  cache.set_rescale_source(&counting);
+  for (std::size_t t = 0; t < 12; ++t) {
+    auto k = random_row(rng, dim, 0.5);
+    if (t == 11) k[0] = 30.0f;  // rows 0..10 pending
+    auto v = random_row(rng, dim, 0.5);
+    cache.append(k, v, t);
+    shadow.append(std::move(k), std::move(v), t);
+  }
+  cache.clear();
+  shadow = ShadowKv(dim);
+  (void)cache.view();  // a read of the empty cache has nothing to settle
+  EXPECT_EQ(counting.reads(), 0u);
+
+  // A fresh batch: its one scale change finds no rows stored.
+  std::vector<float> k_rows, v_rows;
+  for (std::size_t t = 0; t < 3; ++t) {
+    auto k = random_row(rng, dim, 1.0);
+    auto v = random_row(rng, dim, 1.0);
+    k_rows.insert(k_rows.end(), k.begin(), k.end());
+    v_rows.insert(v_rows.end(), v.begin(), v.end());
+    shadow.append(std::move(k), std::move(v), t);
+  }
+  cache.append_rows(k_rows.data(), v_rows.data(), 3, 0);
+  expect_matches_from_scratch(cache, shadow);
+  EXPECT_EQ(counting.reads(), 0u);
 }
 
 // Backend adoption: the cache-backed ExactQuantizedBackend must reproduce
